@@ -8,9 +8,10 @@
 // (naive online serving) vs micro-batches, across shard counts, plus the
 // RequestBatcher + LRU cache on Zipf-skewed traffic.
 //
-// The same stream is then replayed through GpuSimScoringBackend on two
-// device specs (Titan X, GK210): identical top-k lists, but every sweep is
-// accounted as a simulated kernel launch, yielding modeled ms per batch —
+// The same stream is then replayed through the simulated-GPU backend
+// (MultiDeviceScoringBackend on one device) on two device specs (Titan X,
+// GK210): identical top-k lists, but every sweep is accounted as a
+// simulated kernel launch, yielding modeled ms per batch —
 // and from that, a fleet plan per device: how many GPUs, at what $/hr, to
 // serve the target load, and the qps-per-dollar each device spec buys.
 //
@@ -178,7 +179,7 @@ int main() {
   const serve::TopKEngine cpu_engine(store);
   for (auto& run : device_runs) {
     gpusim::Device dev(0, run.device.spec);
-    serve::GpuSimScoringBackend backend(dev, store);
+    serve::MultiDeviceScoringBackend backend(dev, store);
     serve::TopKOptions opt;
     opt.user_block = kFleetBatch;
     opt.backend = &backend;

@@ -153,7 +153,8 @@ FleetPlan plan_multi_device_fleet(const FleetRequirement& req,
   plan.devices_per_node = p;
   plan.devices = plan.nodes * p;
   if (p > 1) {
-    plan.device += "x" + std::to_string(p);
+    plan.device += 'x';
+    plan.device += std::to_string(p);
     const double gather_bytes = static_cast<double>(p) *
                                 static_cast<double>(single_device.batch_users) *
                                 static_cast<double>(k) * 8.0;

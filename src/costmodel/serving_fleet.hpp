@@ -7,9 +7,9 @@
 // GPUs, at what $/hour, to serve N qps at p99 ≤ L ms*. It combines
 //
 //  - a ServingProfile: per-micro-batch modeled kernel time on one device,
-//    taken from GpuSimScoringBackend's accounted launches (measured sweep
-//    counters priced on the device roofline) or built analytically from
-//    aggregate KernelStats;
+//    taken from MultiDeviceScoringBackend's accounted launches (measured
+//    sweep counters priced on the device roofline) or built analytically
+//    from aggregate KernelStats;
 //  - machines.hpp pricing at device granularity (GpuPricing).
 //
 // The latency model, per device at arrival rate λ = target_qps / devices

@@ -123,20 +123,23 @@ void TraceCollector::record_event(const char* name, char phase, double ts_us,
   Slot& slot = ring_[ticket & mask_];
   // Seqlock write: odd tag while the payload is in flux, even when stable.
   // The exporter validates the even tag before and after copying, so a slot
-  // it races with is skipped rather than exported torn.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.phase.store(static_cast<std::uint8_t>(phase), std::memory_order_relaxed);
-  slot.tid.store(current_tid(), std::memory_order_relaxed);
-  slot.ts_us.store(ts_us, std::memory_order_relaxed);
-  slot.dur_us.store(dur_us, std::memory_order_relaxed);
-  slot.k0.store(a.key, std::memory_order_relaxed);
-  slot.v0.store(a.value, std::memory_order_relaxed);
-  slot.k1.store(b.key, std::memory_order_relaxed);
-  slot.v1.store(b.value, std::memory_order_relaxed);
-  slot.k2.store(c.key, std::memory_order_relaxed);
-  slot.v2.store(c.value, std::memory_order_relaxed);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
+  // it races with is skipped rather than exported torn. Payload stores are
+  // release so a reader that acquires any of them also sees the odd tag
+  // (no standalone fences: ThreadSanitizer does not model them).
+  constexpr auto kRel = std::memory_order_release;
+  slot.seq.store(2 * ticket + 1, kRel);
+  slot.name.store(name, kRel);
+  slot.phase.store(static_cast<std::uint8_t>(phase), kRel);
+  slot.tid.store(current_tid(), kRel);
+  slot.ts_us.store(ts_us, kRel);
+  slot.dur_us.store(dur_us, kRel);
+  slot.k0.store(a.key, kRel);
+  slot.v0.store(a.value, kRel);
+  slot.k1.store(b.key, kRel);
+  slot.v1.store(b.value, kRel);
+  slot.k2.store(c.key, kRel);
+  slot.v2.store(c.value, kRel);
+  slot.seq.store(2 * ticket + 2, kRel);
 }
 
 void TraceCollector::set_thread_name(const char* name) {
@@ -173,22 +176,20 @@ std::string TraceCollector::export_chrome_json() const {
     for (std::uint64_t t = begin; t < end; ++t) {
       const Slot& slot = ring_[t & mask_];
       const std::uint64_t want = 2 * t + 2;
-      if (slot.seq.load(std::memory_order_acquire) != want) continue;
-      const char* name = slot.name.load(std::memory_order_relaxed);
-      const char phase =
-          static_cast<char>(slot.phase.load(std::memory_order_relaxed));
-      const std::uint32_t tid = slot.tid.load(std::memory_order_relaxed);
-      const double ts = slot.ts_us.load(std::memory_order_relaxed);
-      const double dur = slot.dur_us.load(std::memory_order_relaxed);
-      const char* keys[3] = {slot.k0.load(std::memory_order_relaxed),
-                             slot.k1.load(std::memory_order_relaxed),
-                             slot.k2.load(std::memory_order_relaxed)};
-      const std::uint64_t vals[3] = {slot.v0.load(std::memory_order_relaxed),
-                                     slot.v1.load(std::memory_order_relaxed),
-                                     slot.v2.load(std::memory_order_relaxed)};
-      // Seqlock read validation (Boehm-style): the acquire fence keeps the
-      // payload loads above from sinking past the re-check.
-      std::atomic_thread_fence(std::memory_order_acquire);
+      constexpr auto kAcq = std::memory_order_acquire;
+      if (slot.seq.load(kAcq) != want) continue;
+      // Seqlock read validation: acquire payload loads keep the re-check
+      // from moving above them, and one that read a newer writer's (release)
+      // store makes that writer's odd tag visible to the re-check.
+      const char* name = slot.name.load(kAcq);
+      const char phase = static_cast<char>(slot.phase.load(kAcq));
+      const std::uint32_t tid = slot.tid.load(kAcq);
+      const double ts = slot.ts_us.load(kAcq);
+      const double dur = slot.dur_us.load(kAcq);
+      const char* keys[3] = {slot.k0.load(kAcq), slot.k1.load(kAcq),
+                             slot.k2.load(kAcq)};
+      const std::uint64_t vals[3] = {slot.v0.load(kAcq), slot.v1.load(kAcq),
+                                     slot.v2.load(kAcq)};
       if (slot.seq.load(std::memory_order_relaxed) != want) continue;
       if (name == nullptr) continue;
 

@@ -93,8 +93,9 @@ class LiveFactorStore {
   /// generation keeps serving, the outcome carries the error, and the
   /// candidate is destroyed. Capacity-accounting backends register here
   /// (e.g. MultiDeviceScoringBackend::admit) so a snapshot that does not fit
-  /// the device fleet is refused up front instead of failing mid-batch —
-  /// and a multi-device placement is refused *everywhere* rather than torn.
+  /// its devices — one or many — is refused up front instead of failing
+  /// mid-batch, and a multi-device placement is refused *everywhere* rather
+  /// than torn.
   using AdmissionHook =
       std::function<void(const std::shared_ptr<const FactorStore>&)>;
   void set_admission_hook(AdmissionHook hook);

@@ -4,11 +4,36 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "serve/topk.hpp"
 
 namespace cumf::serve {
+
+namespace {
+
+// Analytic kernel traffic for one sweep (derivation in the header comment).
+gpusim::KernelStats sweep_kernel_stats(const SweepTask& task,
+                                       const SweepCounters& c) {
+  const auto f = static_cast<double>(task.store->f());
+  const auto fbytes = f * sizeof(real_t);
+  const auto block_users = static_cast<double>(task.last - task.first);
+  gpusim::KernelStats stats;
+  stats.flops = 2.0 * f * static_cast<double>(c.scored);
+  stats.global_read =
+      static_cast<bytes_t>(static_cast<double>(c.rows_swept) * fbytes);
+  stats.gathered_read = static_cast<bytes_t>(block_users * fbytes);
+  stats.gathered_via_texture = true;
+  stats.shared_read =
+      static_cast<bytes_t>(static_cast<double>(c.scored) * fbytes);
+  stats.global_write =
+      static_cast<bytes_t>(block_users * static_cast<double>(task.k) * 8);
+  return stats;
+}
+
+}  // namespace
 
 bytes_t MultiDeviceScoringBackend::shard_bytes(const FactorShard& shard,
                                                int f) {
@@ -24,26 +49,35 @@ bytes_t MultiDeviceScoringBackend::replica_bytes(const FactorStore& store) {
 }
 
 MultiDeviceScoringBackend::MultiDeviceScoringBackend(
-    gpusim::DeviceGroup& group, const gpusim::PcieTopology& topo,
-    const FactorStore& store, Options opt)
-    : devs_(group.pointers()),
-      topo_(&topo),
-      opt_(opt),
+    std::vector<gpusim::Device*> devs, const gpusim::PcieTopology* topo)
+    : devs_(std::move(devs)),
+      topo_(topo),
       used_bytes_(devs_.size(), 0),
       peak_bytes_(devs_.size(), 0),
-      batch_kernel_s_(devs_.size(), 0.0) {
+      batch_kernel_s_(devs_.size(), 0.0) {}
+
+MultiDeviceScoringBackend::MultiDeviceScoringBackend(
+    gpusim::DeviceGroup& group, const gpusim::PcieTopology& topo)
+    : MultiDeviceScoringBackend(group.pointers(), &topo) {}
+
+MultiDeviceScoringBackend::MultiDeviceScoringBackend(
+    gpusim::DeviceGroup& group, const gpusim::PcieTopology& topo,
+    const FactorStore& store)
+    : MultiDeviceScoringBackend(group, topo) {
   std::lock_guard<std::mutex> lock(mu_);
   charge_locked(store, {}, /*pinned=*/true);
 }
 
-MultiDeviceScoringBackend::MultiDeviceScoringBackend(
-    gpusim::DeviceGroup& group, const gpusim::PcieTopology& topo, Options opt)
-    : devs_(group.pointers()),
-      topo_(&topo),
-      opt_(opt),
-      used_bytes_(devs_.size(), 0),
-      peak_bytes_(devs_.size(), 0),
-      batch_kernel_s_(devs_.size(), 0.0) {}
+MultiDeviceScoringBackend::MultiDeviceScoringBackend(gpusim::Device& device)
+    : MultiDeviceScoringBackend(std::vector<gpusim::Device*>{&device},
+                                nullptr) {}
+
+MultiDeviceScoringBackend::MultiDeviceScoringBackend(gpusim::Device& device,
+                                                     const FactorStore& store)
+    : MultiDeviceScoringBackend(device) {
+  std::lock_guard<std::mutex> lock(mu_);
+  charge_locked(store, {}, /*pinned=*/true);
+}
 
 MultiDeviceScoringBackend::~MultiDeviceScoringBackend() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -237,8 +271,7 @@ SweepCounters MultiDeviceScoringBackend::sweep(
   const double begin_us = traced ? trace.now_us() : 0.0;
   const SweepCounters c = reference_sweep(task, out);
 
-  const gpusim::KernelStats stats =
-      sweep_kernel_stats(task, c, opt_.use_texture);
+  const gpusim::KernelStats stats = sweep_kernel_stats(task, c);
   int dev = 0;
   double modeled_s = 0.0;
   {
@@ -293,7 +326,7 @@ BatchCost MultiDeviceScoringBackend::finish_batch() {
       batch_kernel_s_[d] = 0.0;
     }
     double gather_s = 0.0;
-    if (xfers.size() > 1) {  // single device: partials are final, no gather
+    if (xfers.size() > 1) {  // one sender: partials are final, no gather
       gather_s = topo_->makespan_seconds(xfers);
       for (const auto& t : xfers) {
         devs_[static_cast<std::size_t>(t.src)]->account_transfer(

@@ -1,22 +1,47 @@
 #pragma once
 
-// Multi-device model-parallel scoring backend.
+// Simulated-GPU scoring backend: serving on p simulated devices, p >= 1.
 //
-// One simulated device caps the servable catalog at its memory capacity —
-// the same eq.-8 pressure that forces SU-ALS to partition training. This
-// backend applies the paper's multi-GPU split (figure 9) to serving: item
-// shards are partitioned across a gpusim::DeviceGroup (X is replicated on
-// every device that holds shards, Θ is scattered), each shard × user-block
-// sweep is accounted as a kernel launch on the device that owns the shard,
-// and per-device partial top-k candidates are gathered over the
+// Arithmetic is delegated to reference_sweep, so top-k lists are
+// bit-identical to the CPU backend; only the cost axis changes, never the
+// ranking. Each shard × user-block sweep is accounted as one kernel launch,
+// on the device that owns the shard, with analytic traffic:
+//
+//   flops         2·f per scored dot
+//   global_read   rows_swept · f floats — θ rows streamed contiguously
+//                 (shards are slot-contiguous in descending-norm order)
+//   gathered_read block_users · f floats — x_u rows fetched once into
+//                 on-chip storage, discontiguous by user id, via the
+//                 read-only texture path (block reuse is high, quality 1)
+//   shared_read   scored · f floats — each dot replays the cached user row
+//   global_write  block_users · k · 8 B — (item, score) heap write-back
+//
+// The resident model is charged against device capacity, so a model that
+// does not fit raises DeviceOomError — the same eq.-8 pressure that forces
+// SU-ALS to partition training. This backend applies the paper's multi-GPU
+// split (figure 9) to serving: item shards are partitioned across the
+// devices (X is replicated on every device that holds shards, Θ is
+// scattered), and per-device partial top-k candidates are gathered over the
 // gpusim::PcieTopology interconnect for the final scatter-gather merge in
-// the engine. Answers stay bit-identical to the single-device CPU reference
-// — only the cost axis changes, never the ranking.
+// the engine. One device is just the p = 1 case: it holds X + Θ + norms,
+// its launches serialize on one simulated stream (batch modeled time = sum
+// of launches), and its partials are final, so there is no gather and no
+// topology.
 //
 // Placement is capacity-aware: shards are assigned largest-first to the
 // device with the most free memory (LPT), so a catalog no single device can
 // hold spreads across the group, and a device already carrying ballast
 // (another tenant, an undrained generation) receives less of the new model.
+//
+// Residency comes in two flavours:
+//  - static store (store constructors): the model is placed and charged at
+//    construction and released at destruction;
+//  - live store (store-less constructors): each generation is charged when
+//    admit() or begin_batch() first sees it and released only after it has
+//    *drained* — its last shared_ptr (live-store current pointer, engine
+//    pins) is gone. During a hot swap old and new generations are both
+//    resident, surfacing the transient both-resident capacity peak a real
+//    serving GPU pays; peak_model_bytes() reports its high-water mark.
 //
 // Hot swaps land shard-by-shard across devices, which makes partial failure
 // the dangerous case: generation charging is all-or-nothing. admit() places
@@ -26,7 +51,8 @@
 // keeps serving everywhere and no device is left holding a torn placement.
 // Wired as a LiveFactorStore admission hook, a vetoed swap is refused before
 // the generation ever becomes current; without the hook, begin_batch()
-// charges lazily on first sight, as the single-device backend does.
+// charges lazily on first sight, and a device too small to host both
+// generations raises DeviceOomError at the swap, not silently.
 
 #include <memory>
 #include <mutex>
@@ -38,34 +64,32 @@
 
 namespace cumf::serve {
 
-struct MultiDeviceOptions {
-  /// Route the x_u gathers through the read-only texture path.
-  bool use_texture = true;
-};
-
 class MultiDeviceScoringBackend final : public ScoringBackend {
  public:
-  using Options = MultiDeviceOptions;
-
   /// Static-store residency: `store`'s shards are placed and charged across
   /// the group at construction (raises DeviceOomError when the catalog does
   /// not fit the fleet) and released at destruction. The group, topology,
-  /// and store must outlive the backend.
+  /// and store must outlive the backend, and the store must be the one the
+  /// owning TopKEngine serves.
   MultiDeviceScoringBackend(gpusim::DeviceGroup& group,
                             const gpusim::PcieTopology& topo,
-                            const FactorStore& store, Options opt = {});
+                            const FactorStore& store);
   /// Live-store residency: generations attach via admit() (the
   /// LiveFactorStore admission hook) or lazily via begin_batch(). The group
   /// and topology must outlive the backend.
   MultiDeviceScoringBackend(gpusim::DeviceGroup& group,
-                            const gpusim::PcieTopology& topo, Options opt = {});
+                            const gpusim::PcieTopology& topo);
+  /// One device, static store: the whole model is charged on `device`.
+  /// A single device never gathers, so it needs no topology.
+  MultiDeviceScoringBackend(gpusim::Device& device, const FactorStore& store);
+  /// One device, live store.
+  explicit MultiDeviceScoringBackend(gpusim::Device& device);
   ~MultiDeviceScoringBackend() override;
 
   MultiDeviceScoringBackend(const MultiDeviceScoringBackend&) = delete;
   MultiDeviceScoringBackend& operator=(const MultiDeviceScoringBackend&) =
       delete;
 
-  [[nodiscard]] const char* name() const override { return "multigpu"; }
   [[nodiscard]] int device_count() const override {
     return static_cast<int>(devs_.size());
   }
@@ -103,6 +127,10 @@ class MultiDeviceScoringBackend final : public ScoringBackend {
   [[nodiscard]] static bytes_t replica_bytes(const FactorStore& store);
 
  private:
+  /// `topo` may be null only for a single device (no gather to price).
+  MultiDeviceScoringBackend(std::vector<gpusim::Device*> devs,
+                            const gpusim::PcieTopology* topo);
+
   /// One charged snapshot: its shard→device placement and the bytes charged
   /// per device. `alive` is empty for the static-store entry.
   struct Resident {
@@ -126,7 +154,6 @@ class MultiDeviceScoringBackend final : public ScoringBackend {
 
   std::vector<gpusim::Device*> devs_;
   const gpusim::PcieTopology* topo_;
-  Options opt_;
   mutable std::mutex mu_;  // residency + device accounting + batch state
   std::vector<Resident> resident_;
   std::vector<bytes_t> used_bytes_;  // our charge per device
@@ -136,5 +163,9 @@ class MultiDeviceScoringBackend final : public ScoringBackend {
   int batch_users_ = 0;                 // widest user index swept this batch
   int batch_k_ = 0;
 };
+
+/// Former name of the one-device case, kept only because the benchmark
+/// driver (perfbench/src/world.cpp) still names it.
+using GpuSimScoringBackend = MultiDeviceScoringBackend;
 
 }  // namespace cumf::serve

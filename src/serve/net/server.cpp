@@ -537,7 +537,12 @@ void TcpServer::accept_loop(Shard& sh0) {
 
 bool TcpServer::process_in(Shard& sh, const std::shared_ptr<Conn>& conn) {
   std::size_t consumed = 0;
-  while (conn->inflight.load(std::memory_order_acquire) < opt_.max_inflight) {
+  bool capped = false;
+  for (;;) {
+    if (conn->inflight.load(std::memory_order_acquire) >= opt_.max_inflight) {
+      capped = true;
+      break;
+    }
     std::size_t payload_off = 0;
     std::size_t payload_len = 0;
     bool have = false;
@@ -562,10 +567,11 @@ bool TcpServer::process_in(Shard& sh, const std::shared_ptr<Conn>& conn) {
   // Backpressure: stop reading while the inflight cap is hit (frames beyond
   // it stay buffered) or buffered input is still over the cap. Resumed by
   // the dirty-connection flush when replies drain — buffered bytes never
-  // re-trigger epoll, so the flush re-runs this parse.
-  conn->paused =
-      conn->inflight.load(std::memory_order_acquire) >= opt_.max_inflight ||
-      conn->in.size() >= opt_.max_in_buffer;
+  // re-trigger epoll, so the flush re-runs this parse. The pause follows
+  // why the parse stopped, not a fresh inflight read: if the lane drained
+  // every reply since the cap was hit, its dirty flush still has to find
+  // the connection paused, or the frames left buffered would never run.
+  conn->paused = capped || conn->in.size() >= opt_.max_in_buffer;
   return true;
 }
 

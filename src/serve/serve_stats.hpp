@@ -279,7 +279,7 @@ struct ServeStats {
   /// just the component whose counters ride alongside.
   LatencySummary batch_wall;
   /// Backend modeled time per batch; all-zero for wall-clock-only backends,
-  /// the simulated-GPU kernel time for GpuSimScoringBackend.
+  /// the simulated-GPU kernel (+ gather) time for MultiDeviceScoringBackend.
   LatencySummary batch_modeled;
   /// Modeled cross-device candidate-gather time per batch; nonzero only when
   /// a multi-device backend is serving (the interconnect slice of

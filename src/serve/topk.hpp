@@ -19,10 +19,10 @@
 //
 // The sweep itself is executed by a pluggable ScoringBackend
 // (serve/scoring_backend.hpp): the default CpuScoringBackend runs it on host
-// threads; GpuSimScoringBackend runs the identical arithmetic but accounts
-// every sweep as a gpusim::Device kernel launch, putting serving on the
-// modeled-time axis. Backends are required to return bit-identical top-k
-// lists, so the choice moves cost, never answers.
+// threads; MultiDeviceScoringBackend runs the identical arithmetic but
+// accounts every sweep as a kernel launch on one of its simulated devices,
+// putting serving on the modeled-time axis. Backends are required to
+// return bit-identical top-k lists, so the choice moves cost, never answers.
 //
 // Two candidate filters run inside the sweep:
 //  - norm pruning: shards store items in descending-‖θ_v‖ order, so once
@@ -76,9 +76,10 @@ struct TopKOptions {
   /// Cauchy–Schwarz norm pruning (on by default; off for A/B in benches).
   bool prune = true;
   /// Scoring backend; nullptr uses an engine-owned CpuScoringBackend. The
-  /// backend must outlive the engine. A GpuSimScoringBackend built over a
-  /// static FactorStore must be given the engine's store; in live mode use
-  /// its device-only constructor and generations attach via begin_batch().
+  /// backend must outlive the engine. A MultiDeviceScoringBackend built over
+  /// a static FactorStore must be given the engine's store; in live mode use
+  /// a store-less constructor and generations attach via begin_batch() (or
+  /// the live store's admission hook).
   ScoringBackend* backend = nullptr;
 };
 

@@ -10,7 +10,7 @@
 #include "gpusim/device.hpp"
 #include "gpusim/device_spec.hpp"
 #include "serve/factor_store.hpp"
-#include "serve/scoring_backend.hpp"
+#include "serve/multi_device_backend.hpp"
 #include "serve/topk.hpp"
 #include "serve_test_util.hpp"
 
@@ -257,15 +257,16 @@ TEST(ServingFleet, TighterSloNeverCheapens) {
 }
 
 TEST(ServingFleet, ProfileFromMeasuredBackendSweepsSizesAFeasibleFleet) {
-  // End-to-end: the profile the planner prices can come straight from
-  // GpuSimScoringBackend's accounted sweeps over a real (small) model —
-  // the same serve_test fixtures the serving suites train against.
+  // End-to-end: the profile the planner prices can come straight from the
+  // simulated-GPU backend's accounted sweeps on one device over a real
+  // (small) model — the same serve_test fixtures the serving suites train
+  // against.
   const auto x = serve_test::random_factors(64, 16, 501);
   const auto theta = serve_test::random_factors(256, 16, 502);
   const serve::FactorStore store(x, theta, 2);
 
   gpusim::Device dev(0, gpusim::titan_x());
-  serve::GpuSimScoringBackend backend(dev, store);
+  serve::MultiDeviceScoringBackend backend(dev, store);
   serve::TopKOptions opt;
   opt.user_block = 16;
   opt.backend = &backend;

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -829,6 +830,90 @@ TEST(TcpServer, FloodingWriterIsThrottledNotKilled) {
   EXPECT_EQ(fx.server->stats().queries,
             static_cast<std::uint64_t>(kQueries));
   EXPECT_EQ(fx.server->slow_client_closes(), 0u);
+}
+
+TEST(TcpServer, PausedConnectionResumesWhenRepliesDrainMidParse) {
+  // Regression: the parse loop stops at the inflight cap, and the pause
+  // decision must follow that stop. Read afresh from the inflight counter
+  // instead, a completion lane that drained every reply in between left the
+  // connection unpaused with whole frames buffered and no bytes left to wake
+  // epoll, so the client waited forever. A cap of 1 with a zero batcher
+  // deadline sends every frame through that window; a bounded wait per
+  // reply turns a hang into a failure.
+  ServerOptions sopt;
+  sopt.max_inflight = 1;
+  sopt.io_threads = 1;
+  LoopbackFixture fx(0, std::chrono::microseconds(0), sopt);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(fx.server->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const timeval stall{2, 0};  // no reply for this long = hung connection
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &stall, sizeof(stall)),
+            0);
+
+  constexpr int kQueries = 20000;
+  std::vector<std::uint8_t> frames;
+  for (int i = 0; i < kQueries; ++i) {
+    encode_query_request(
+        QueryRequest{static_cast<idx_t>(i % LoopbackFixture::kUsers),
+                     LoopbackFixture::kK},
+        &frames);
+  }
+  // The whole pipeline goes out at once, so the server holds a deep buffer
+  // of whole frames behind the cap; a writer thread keeps a full socket
+  // from blocking the reads below.
+  std::thread writer([&] {
+    std::size_t sent = 0;
+    while (sent < frames.size()) {
+      const ssize_t n = ::send(fd, frames.data() + sent, frames.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+
+  std::vector<std::vector<serve::Recommendation>> want;
+  for (idx_t u = 0; u < LoopbackFixture::kUsers; ++u) {
+    want.push_back(fx.engine.recommend_one(u, LoopbackFixture::kK));
+  }
+  std::vector<std::uint8_t> in;
+  std::size_t off = 0;
+  int answered = 0;
+  char buf[16384];
+  while (answered < kQueries) {
+    std::size_t payload_off = 0;
+    std::size_t payload_len = 0;
+    if (try_frame(in.data() + off, in.size() - off, &payload_off,
+                  &payload_len)) {
+      QueryResponse resp;
+      (void)decode_response(in.data() + off + payload_off, payload_len, &resp,
+                            nullptr);
+      const auto u = static_cast<std::size_t>(answered %
+                                              LoopbackFixture::kUsers);
+      if (resp.status != Status::kOk || resp.items != want[u]) {
+        ADD_FAILURE() << "wrong answer to query " << answered;
+        break;  // the writer must still be joined
+      }
+      off += payload_off + payload_len;
+      ++answered;
+      continue;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;  // stalled (timeout) or closed
+    in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(off));
+    off = 0;
+    in.insert(in.end(), buf, buf + n);
+  }
+  ::shutdown(fd, SHUT_RDWR);
+  writer.join();
+  ::close(fd);
+  EXPECT_EQ(answered, kQueries) << "connection stalled with queries pending";
 }
 
 TEST(TcpServer, OverloadShedsAtTheEdgeAndRecovers) {
