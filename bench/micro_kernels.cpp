@@ -1,7 +1,7 @@
-// Kernel-level microbenchmarks (google-benchmark): the building blocks whose
-// relative speeds the paper's §3 optimizations rest on. Wall-clock here is
-// host CPU time — the register-tiled path is genuinely faster on CPUs too,
-// for the same reason it is on GPUs (accumulator locality).
+// Kernel-level microbenchmarks (google-benchmark) of the host arithmetic.
+// Wall-clock here is host CPU time. KernelOptions only price the simulated
+// kernel (core::hermitian_kernel_stats), so there is one get_hermitian host
+// kernel to time, not one per §3 optimization.
 
 #include <benchmark/benchmark.h>
 
@@ -26,35 +26,33 @@ std::vector<real_t> random_vec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// ---- rank-1 accumulation: global vs register paths ----
+// ---- one row of get_hermitian: 4-column upper-triangle accumulate ----
 
-void BM_Rank1Global(benchmark::State& state) {
+void BM_HermitianRow(benchmark::State& state) {
   const int f = static_cast<int>(state.range(0));
-  const int bin = 20;
-  const auto cols = random_vec(static_cast<std::size_t>(bin) * f, 1);
-  std::vector<real_t> A(static_cast<std::size_t>(f) * f, 0.0f);
+  const std::size_t n = 20;
+  const idx_t pool = 400;
+  const auto theta = random_vec(static_cast<std::size_t>(pool) * f, 1);
+  const auto vals = random_vec(n, 2);
+  util::Rng rng(3);
+  std::vector<idx_t> cols(n);
+  for (auto& c : cols) c = static_cast<idx_t>(rng.next_below(pool));
+  const std::size_t fsq = static_cast<std::size_t>(f) * f;
+  std::vector<real_t> A(fsq), B(static_cast<std::size_t>(f));
+  std::vector<real_t> sa(fsq), sb(static_cast<std::size_t>(f));
   for (auto _ : state) {
-    linalg::rank1_accumulate_global(A.data(), cols.data(), bin, f);
+    linalg::hermitian_row({theta.data(), cols.data(), nullptr, vals.data(), n},
+                          nullptr, 0.05f, f, sa.data(), sb.data(), A.data(),
+                          B.data(), /*accumulate=*/false);
     benchmark::DoNotOptimize(A.data());
+    benchmark::DoNotOptimize(B.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * bin * f * f);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Rank1Global)->Arg(16)->Arg(32)->Arg(64)->Arg(100);
+BENCHMARK(BM_HermitianRow)->Arg(16)->Arg(32)->Arg(64)->Arg(100);
 
-void BM_Rank1Registers(benchmark::State& state) {
-  const int f = static_cast<int>(state.range(0));
-  const int bin = 20;
-  const auto cols = random_vec(static_cast<std::size_t>(bin) * f, 1);
-  std::vector<real_t> A(static_cast<std::size_t>(f) * f, 0.0f);
-  for (auto _ : state) {
-    linalg::rank1_accumulate_registers(A.data(), cols.data(), bin, f);
-    benchmark::DoNotOptimize(A.data());
-  }
-  state.SetItemsProcessed(state.iterations() * bin * f * f);
-}
-BENCHMARK(BM_Rank1Registers)->Arg(16)->Arg(32)->Arg(64)->Arg(100);
-
-// ---- full get_hermitian: Algorithm 1 vs Algorithm 2 ----
+// ---- full get_hermitian over a block ----
 
 sparse::CsrMatrix bench_matrix() {
   data::SyntheticOptions opt;
@@ -66,46 +64,21 @@ sparse::CsrMatrix bench_matrix() {
 }
 
 void BM_GetHermitian(benchmark::State& state) {
-  const bool mo = state.range(0) != 0;
   const int f = 32;
   static const sparse::CsrMatrix R = bench_matrix();
   const auto theta = random_vec(static_cast<std::size_t>(R.cols) * f, 7);
   std::vector<real_t> A(static_cast<std::size_t>(R.rows) * f * f);
   std::vector<real_t> B(static_cast<std::size_t>(R.rows) * f);
   gpusim::Device dev(0, gpusim::titan_x());
-  const core::KernelOptions opt =
-      mo ? core::KernelOptions{20, true, true}
-         : core::KernelOptions{1, false, false};
   for (auto _ : state) {
-    core::get_hermitian_block(dev, R, 0, R.rows, theta.data(), f, 0.05f, opt,
+    core::get_hermitian_block(dev, R, 0, R.rows, theta.data(), f, 0.05f, {},
                               A.data(), B.data());
     benchmark::DoNotOptimize(A.data());
-  }
-  state.SetItemsProcessed(state.iterations() * R.nnz());
-  state.SetLabel(mo ? "MO-ALS(Alg2)" : "base(Alg1)");
-}
-BENCHMARK(BM_GetHermitian)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// ---- bin-size sweep (DESIGN.md ablation: paper picks bin in [10, 30]) ----
-
-void BM_BinSize(benchmark::State& state) {
-  const int bin = static_cast<int>(state.range(0));
-  const int f = 32;
-  static const sparse::CsrMatrix R = bench_matrix();
-  const auto theta = random_vec(static_cast<std::size_t>(R.cols) * f, 7);
-  std::vector<real_t> A(static_cast<std::size_t>(R.rows) * f * f);
-  std::vector<real_t> B(static_cast<std::size_t>(R.rows) * f);
-  gpusim::Device dev(0, gpusim::titan_x());
-  const core::KernelOptions opt{bin, true, true};
-  for (auto _ : state) {
-    core::get_hermitian_block(dev, R, 0, R.rows, theta.data(), f, 0.05f, opt,
-                              A.data(), B.data());
-    benchmark::DoNotOptimize(A.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * R.nnz());
 }
-BENCHMARK(BM_BinSize)->Arg(2)->Arg(5)->Arg(10)->Arg(20)->Arg(30)->Arg(60)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GetHermitian)->Unit(benchmark::kMillisecond);
 
 // ---- batched Cholesky solve ----
 

@@ -30,11 +30,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <span>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -66,6 +70,33 @@ constexpr int kF = 32;
 constexpr int kTopK = 10;
 constexpr int kQueries = 2000;
 constexpr int kFleetBatch = 32;
+
+// A checkpoint directory of this run's own (mkdtemp), so runs side by side
+// never write into each other's checkpoints; removed with everything in it
+// when the object goes out of scope.
+class RunCheckpointDir {
+ public:
+  RunCheckpointDir() {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "cumf_serve_bench_ckpt.XXXXXX")
+                           .string();
+    if (mkdtemp(path.data()) == nullptr) {
+      throw std::system_error(errno, std::generic_category(), "mkdtemp");
+    }
+    path_ = path;
+  }
+  ~RunCheckpointDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  RunCheckpointDir(const RunCheckpointDir&) = delete;
+  RunCheckpointDir& operator=(const RunCheckpointDir&) = delete;
+
+  [[nodiscard]] std::string string() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
 
 linalg::FactorMatrix random_factors(idx_t rows, int f, std::uint64_t seed) {
   linalg::FactorMatrix m(rows, f);
@@ -378,9 +409,7 @@ int main() {
       return static_cast<double>(answered.load() - start) / w.seconds();
     };
 
-    const auto ckpt_dir =
-        std::filesystem::temp_directory_path() / "cumf_serve_bench_ckpt";
-    std::filesystem::create_directories(ckpt_dir);
+    const RunCheckpointDir ckpt_dir;
 
     std::printf("\n  refresh under load (%d query threads, batch %d):\n",
                 kLiveThreads, kFleetBatch);
@@ -414,7 +443,6 @@ int main() {
                      outcome.error.c_str());
         stop.store(true);
         for (auto& t : workers) t.join();
-        std::filesystem::remove_all(ckpt_dir);
         return 1;
       }
 
@@ -428,7 +456,6 @@ int main() {
     }
     stop.store(true);
     for (auto& t : workers) t.join();
-    std::filesystem::remove_all(ckpt_dir);
 
     const auto pause = live.swap_pause_summary();
     std::printf("  %llu swaps, swap-pause p99 %.4f ms, max %.4f ms — queries "

@@ -95,6 +95,25 @@ GATES = {
             or (m == "e2e_p99_ms" and r["mode"] not in ("bursty", "diurnal"))
         ),
     },
+    # Fig. 7/8 ablations: KernelOptions price only the simulated kernel, so
+    # each modeled_s cell comes off the deterministic cost model and may not
+    # rise. Wall-clock columns are informational and not gated.
+    "figure7_registers.csv": {
+        "key": ["dataset", "config", "iteration"],
+        "rows": lambda r: True,
+        "metrics": {
+            "modeled_s": ("upper", 0.01),
+        },
+        "skip_metric": lambda r, m: False,
+    },
+    "figure8_texture.csv": {
+        "key": ["dataset", "config", "iteration"],
+        "rows": lambda r: True,
+        "metrics": {
+            "modeled_s": ("upper", 0.01),
+        },
+        "skip_metric": lambda r, m: False,
+    },
 }
 
 

@@ -1,5 +1,6 @@
 #include "baselines/hogwild.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -7,6 +8,35 @@
 #include "util/stopwatch.hpp"
 
 namespace cumf::baselines {
+
+namespace {
+
+// Eq. (4) on factor rows that other workers update at the same time. Hogwild
+// runs lock-free and tolerates lost updates, so every shared entry is read
+// and written through a relaxed atomic_ref: concurrent updates may overwrite
+// each other, but no access tears or races. Single-threaded, this computes
+// exactly what sgd_update does.
+real_t hogwild_update(real_t* xu, real_t* tv, real_t r, real_t lr,
+                      real_t lambda, int f) {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  double pred = 0.0;
+  for (int k = 0; k < f; ++k) {
+    pred += static_cast<double>(std::atomic_ref(xu[k]).load(kRelaxed)) *
+            std::atomic_ref(tv[k]).load(kRelaxed);
+  }
+  const real_t e = r - static_cast<real_t>(pred);
+  for (int k = 0; k < f; ++k) {
+    std::atomic_ref x(xu[k]);
+    std::atomic_ref t(tv[k]);
+    const real_t xk = x.load(kRelaxed);
+    const real_t tk = t.load(kRelaxed);
+    x.store(xk + lr * (e * tk - lambda * xk), kRelaxed);
+    t.store(tk + lr * (e * xk - lambda * tk), kRelaxed);
+  }
+  return e;
+}
+
+}  // namespace
 
 HogwildSgd::HogwildSgd(const sparse::CooMatrix& train, SgdOptions opt)
     : train_(train), opt_(opt), x_(train.rows, opt.f),
@@ -29,8 +59,8 @@ void HogwildSgd::run_epoch() {
       [&](nnz_t lo, nnz_t hi) {
         for (nnz_t i = lo; i < hi; ++i) {
           const auto k = static_cast<std::size_t>(order_[static_cast<std::size_t>(i)]);
-          sgd_update(x_.row(train_.row[k]), theta_.row(train_.col[k]),
-                     train_.val[k], lr_, opt_.lambda, f);
+          hogwild_update(x_.row(train_.row[k]), theta_.row(train_.col[k]),
+                         train_.val[k], lr_, opt_.lambda, f);
         }
       },
       static_cast<std::size_t>(opt_.threads));

@@ -1,10 +1,11 @@
 #pragma once
 
 // HOGWILD!-style lock-free parallel SGD (§6.2): every worker applies eq.-(4)
-// updates to the shared factors without synchronization. On sparse problems
-// conflicting touches are rare enough that convergence survives; this is the
-// conceptual ancestor of libMF and NOMAD and serves as the simplest SGD
-// baseline.
+// updates to the shared factors without locks, through relaxed atomic loads
+// and stores, so concurrent updates to one entry may be lost but never race.
+// On sparse problems conflicting touches are rare enough that convergence
+// survives; this is the conceptual ancestor of libMF and NOMAD and serves as
+// the simplest SGD baseline.
 
 #include "baselines/sgd_common.hpp"
 #include "util/thread_pool.hpp"

@@ -51,6 +51,9 @@ struct SgdOptions {
 };
 
 /// One SGD update on a single rating (eq. 4). Returns the pre-update error.
+/// For callers whose workers never share a factor row in flight (FPSGD's
+/// blocks, NOMAD's owned columns, one-thread retraining); Hogwild, whose
+/// workers do, has its own atomic update.
 inline real_t sgd_update(real_t* xu, real_t* tv, real_t r, real_t lr,
                          real_t lambda, int f) {
   double pred = 0.0;

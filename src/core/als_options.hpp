@@ -8,9 +8,10 @@
 
 namespace cumf::core {
 
-/// Memory-path configuration of the get_hermitian kernel (Algorithm 2's
-/// three optimizations, each independently toggleable for the Fig. 7/8
-/// ablations).
+/// Memory-path configuration of the simulated get_hermitian kernel
+/// (Algorithm 2's three optimizations, each independently toggleable for the
+/// Fig. 7/8 ablations). Read only by the cost model: the host arithmetic is
+/// the same for every setting.
 struct KernelOptions {
   int bin = 20;               // shared-memory staging width, paper uses 10-30
   bool use_registers = true;  // accumulate A_u in registers (Listing 1)

@@ -22,10 +22,12 @@ void gram_kernel(gpusim::Device& dev, const real_t* theta, idx_t n, int f,
   std::mutex mu;
   util::parallel_for_chunks(dev.pool(), 0, n, [&](nnz_t lo, nnz_t hi) {
     std::vector<real_t> local(fsq, 0.0f);
-    for (nnz_t v = lo; v < hi; ++v) {
-      linalg::rank1_update_global(local.data(),
-                                  theta + static_cast<std::size_t>(v) * f, f);
-    }
+    linalg::accumulate_upper(
+        local.data(), nullptr,
+        {theta + static_cast<std::size_t>(lo) * f, nullptr, nullptr, nullptr,
+         static_cast<std::size_t>(hi - lo)},
+        f);
+    linalg::mirror_upper(local.data(), f);
     std::lock_guard lock(mu);
     for (std::size_t e = 0; e < fsq; ++e) G[e] += local[e];
   });
@@ -43,54 +45,32 @@ void get_hermitian_implicit(gpusim::Device& dev, const sparse::CsrMatrix& R,
                             real_t lambda, real_t alpha,
                             const KernelOptions& opt, real_t* A, real_t* B) {
   const std::size_t fsq = static_cast<std::size_t>(f) * f;
-  const int bin = std::max(1, opt.bin);
 
   util::parallel_for_chunks(
       dev.pool(), row_begin, row_end, [&](nnz_t lo, nnz_t hi) {
-        std::vector<real_t> bin_buf(static_cast<std::size_t>(bin) * f);
-        std::vector<real_t> a_local(fsq);
-        std::vector<real_t> b_local(static_cast<std::size_t>(f));
-
+        std::vector<real_t> a_scratch(fsq);
+        std::vector<real_t> b_scratch(static_cast<std::size_t>(f));
+        std::vector<real_t> a_weight;
+        std::vector<real_t> b_weight;
         for (nnz_t u = lo; u < hi; ++u) {
           const auto local = static_cast<std::size_t>(u - row_begin);
-          real_t* a_out = A + local * fsq;
-          real_t* b_out = B + local * static_cast<std::size_t>(f);
-          real_t* a_acc = opt.use_registers ? a_local.data() : a_out;
-          // Seed with the shared Gram matrix plus plain-λ diagonal.
-          std::memcpy(a_acc, G, fsq * sizeof(real_t));
-          linalg::add_diagonal(a_acc, lambda, f);
-          std::memset(b_local.data(), 0,
-                      static_cast<std::size_t>(f) * sizeof(real_t));
-
           const auto cols = R.row_cols(static_cast<idx_t>(u));
           const auto vals = R.row_vals(static_cast<idx_t>(u));
-          std::size_t k = 0;
-          while (k < cols.size()) {
-            const int cnt =
-                static_cast<int>(std::min<std::size_t>(bin, cols.size() - k));
-            for (int c = 0; c < cnt; ++c) {
-              const real_t* tv =
-                  theta + static_cast<std::size_t>(cols[k + static_cast<std::size_t>(c)]) * f;
-              const real_t w = alpha * vals[k + static_cast<std::size_t>(c)];
-              real_t* staged = bin_buf.data() + static_cast<std::size_t>(c) * f;
-              // B wants (1 + w)·θ with the raw column; A wants w·θθᵀ, which
-              // the rank-1 kernel gets by staging √w·θ.
-              linalg::axpy(b_local.data(), real_t{1} + w, tv, f);
-              const real_t root = std::sqrt(std::max(real_t{0}, w));
-              for (int i = 0; i < f; ++i) staged[i] = root * tv[i];
-            }
-            if (opt.use_registers) {
-              linalg::rank1_accumulate_registers(a_acc, bin_buf.data(), cnt, f);
-            } else {
-              linalg::rank1_accumulate_global(a_acc, bin_buf.data(), cnt, f);
-            }
-            k += static_cast<std::size_t>(cnt);
+          // Confidence c = 1 + α·r: A gains (c − 1)·θθᵀ over the shared
+          // Gram matrix (never negative) and B gains c·θ.
+          a_weight.resize(vals.size());
+          b_weight.resize(vals.size());
+          for (std::size_t k = 0; k < vals.size(); ++k) {
+            const real_t w = alpha * vals[k];
+            a_weight[k] = std::max(real_t{0}, w);
+            b_weight[k] = real_t{1} + w;
           }
-          if (opt.use_registers) {
-            std::memcpy(a_out, a_acc, fsq * sizeof(real_t));
-          }
-          std::memcpy(b_out, b_local.data(),
-                      static_cast<std::size_t>(f) * sizeof(real_t));
+          linalg::hermitian_row(
+              {theta, cols.data(), a_weight.data(), b_weight.data(),
+               cols.size()},
+              G, lambda, f, a_scratch.data(), b_scratch.data(),
+              A + local * fsq, B + local * static_cast<std::size_t>(f),
+              /*accumulate=*/false);
         }
       });
 

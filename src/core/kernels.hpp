@@ -10,12 +10,12 @@
 //
 //   batch_solve — solve A_u·x_u = B_u for every u via in-place Cholesky.
 //
-// Two kernel flavors exist, matching Algorithm 1 (base) and Algorithm 2
-// (memory-optimized). They run real arithmetic on the host pool; simulated
-// traffic is accounted analytically per launch (see kernel_stats_* below),
-// and the CPU code genuinely takes the corresponding fast/slow path (direct
-// heap accumulation vs register-tiled accumulation), so both wall and
-// modeled time respond to the toggles.
+// The GPU kernel has two flavors, Algorithm 1 (base) and Algorithm 2
+// (memory-optimized), selected by KernelOptions. The options change modeled
+// cost only: the simulated traffic of each launch is accounted analytically
+// from them (see *_kernel_stats below), while the host runs one arithmetic
+// for every option (linalg::hermitian_row), so A/B are bit-identical across
+// options and wall time does not respond to the toggles.
 
 #include "core/als_options.hpp"
 #include "gpusim/counters.hpp"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -107,17 +109,143 @@ TEST_P(HermitianBlockTest, MatchesBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Paths, HermitianBlockTest,
-    ::testing::Values(
-        KernelCase{{1, false, false}, "base_alg1"},
-        KernelCase{{20, true, true}, "mo_full"},
-        KernelCase{{20, false, true}, "mo_noregisters"},
-        KernelCase{{20, true, false}, "mo_notexture"},
-        KernelCase{{10, true, true}, "mo_bin10"},
-        KernelCase{{30, true, true}, "mo_bin30"},
-        KernelCase{{3, true, true}, "mo_bin_smaller_than_row"}),
-    [](const auto& info) { return info.param.name; });
+// The Fig. 7/8 ablation settings: Algorithm 1 and Algorithm 2 with each of
+// its memory-path optimizations toggled.
+const KernelCase kKernelCases[] = {
+    {{1, false, false}, "base_alg1"},
+    {{20, true, true}, "mo_full"},
+    {{20, false, true}, "mo_noregisters"},
+    {{20, true, false}, "mo_notexture"},
+    {{10, true, true}, "mo_bin10"},
+    {{30, true, true}, "mo_bin30"},
+    {{3, true, true}, "mo_bin_smaller_than_row"},
+};
+
+INSTANTIATE_TEST_SUITE_P(Paths, HermitianBlockTest,
+                         ::testing::ValuesIn(kKernelCases),
+                         [](const auto& info) { return info.param.name; });
+
+TEST(HermitianBlock, HostArithmeticIdenticalAcrossOptions) {
+  // KernelOptions price the simulated kernel; they must not touch the host
+  // arithmetic, so every ablation setting yields the same A/B bit for bit.
+  const int f = 13;
+  const auto R = small_ratings(60, 30, 700, 23);
+  const auto theta = random_theta(30, f, 24);
+  Device dev(0, gpusim::titan_x());
+  std::vector<real_t> A0(static_cast<std::size_t>(R.rows) * f * f);
+  std::vector<real_t> B0(static_cast<std::size_t>(R.rows) * f);
+  get_hermitian_block(dev, R, 0, R.rows, theta.data(), f, 0.05f,
+                      kKernelCases[0].opt, A0.data(), B0.data());
+  for (const auto& kc : kKernelCases) {
+    std::vector<real_t> A(A0.size(), -1.0f);
+    std::vector<real_t> B(B0.size(), -1.0f);
+    get_hermitian_block(dev, R, 0, R.rows, theta.data(), f, 0.05f, kc.opt,
+                        A.data(), B.data());
+    EXPECT_EQ(std::memcmp(A.data(), A0.data(), A.size() * sizeof(real_t)), 0)
+        << kc.name;
+    EXPECT_EQ(std::memcmp(B.data(), B0.data(), B.size() * sizeof(real_t)), 0)
+        << kc.name;
+  }
+}
+
+TEST(HermitianBlock, ModeledStatsMatchGolden) {
+  // Golden cost-model output for each ablation setting: the host kernel is
+  // shared by all of them, so only these modeled numbers tell them apart,
+  // and they must not drift.
+  struct Golden {
+    double flops;
+    bytes_t global_read, global_write, gathered_read, shared_read, shared_write;
+    bool via_texture;
+    double gather_quality;
+  };
+  const Golden golden[] = {
+      {112016000, 410404000u, 409664000u, 422400000u, 0u, 0u, false,
+       0.77522779429070288},
+      {112016000, 804000u, 2112000u, 12800000u, 204800000u, 12800000u, true,
+       0.77522779429070288},
+      {112016000, 804000u, 2112000u, 12800000u, 819200000u, 422400000u, true,
+       0.77522779429070288},
+      {112016000, 804000u, 2112000u, 12800000u, 204800000u, 12800000u, false,
+       0.77522779429070288},
+      {112016000, 804000u, 2112000u, 12800000u, 204800000u, 12800000u, true,
+       0.77522779429070288},
+      {112016000, 804000u, 2112000u, 12800000u, 204800000u, 12800000u, true,
+       0.77522779429070288},
+      {112016000, 804000u, 2112000u, 12800000u, 204800000u, 12800000u, true,
+       0.77522779429070288},
+  };
+  static_assert(std::size(golden) == std::size(kKernelCases));
+  for (std::size_t c = 0; c < std::size(golden); ++c) {
+    const auto s = hermitian_kernel_stats(100000, 500, 32, kKernelCases[c].opt,
+                                          2000);
+    const Golden& g = golden[c];
+    SCOPED_TRACE(kKernelCases[c].name);
+    EXPECT_DOUBLE_EQ(s.flops, g.flops);
+    EXPECT_EQ(s.global_read, g.global_read);
+    EXPECT_EQ(s.global_write, g.global_write);
+    EXPECT_EQ(s.gathered_read, g.gathered_read);
+    EXPECT_EQ(s.shared_read, g.shared_read);
+    EXPECT_EQ(s.shared_write, g.shared_write);
+    EXPECT_EQ(s.gathered_via_texture, g.via_texture);
+    EXPECT_DOUBLE_EQ(s.gather_quality, g.gather_quality);
+  }
+}
+
+/// A CSR whose row u holds u % 10 ratings on distinct random columns, so
+/// empty rows, rows shorter than one 4-column pass and rows with a tail all
+/// occur.
+sparse::CsrMatrix ragged_ratings(idx_t rows, idx_t cols, std::uint64_t seed) {
+  util::Rng rng(seed);
+  sparse::CsrMatrix R;
+  R.rows = rows;
+  R.cols = cols;
+  R.row_ptr.push_back(0);
+  for (idx_t u = 0; u < rows; ++u) {
+    std::vector<idx_t> picked;
+    while (picked.size() < static_cast<std::size_t>(u % 10)) {
+      const auto v = static_cast<idx_t>(rng.next_below(static_cast<std::uint64_t>(cols)));
+      if (std::find(picked.begin(), picked.end(), v) == picked.end()) {
+        picked.push_back(v);
+      }
+    }
+    std::sort(picked.begin(), picked.end());
+    for (const idx_t v : picked) {
+      R.col_ind.push_back(v);
+      R.vals.push_back(static_cast<real_t>(rng.uniform(1.0, 5.0)));
+    }
+    R.row_ptr.push_back(static_cast<nnz_t>(R.col_ind.size()));
+  }
+  return R;
+}
+
+TEST(HermitianBlock, MatchesReferenceAcrossDimsAndRowLengths) {
+  const real_t lambda = 0.07f;
+  const auto R = ragged_ratings(50, 23, 41);
+  Device dev(0, gpusim::titan_x());
+  for (const int f : {1, 4, 9, 16, 17, 100}) {
+    const auto theta = random_theta(R.cols, f, 42 + static_cast<unsigned>(f));
+    std::vector<double> refA, refB;
+    reference_hermitian(R, theta.data(), f, lambda, refA, refB);
+    // Prior contents for the accumulate=true pass.
+    const auto A0 = random_theta(R.rows, f * f, 43);
+    const auto B0 = random_theta(R.rows, f, 44);
+    for (const bool accumulate : {false, true}) {
+      std::vector<real_t> A(A0), B(B0);
+      get_hermitian_block(dev, R, 0, R.rows, theta.data(), f, lambda, {},
+                          A.data(), B.data(), accumulate);
+      for (std::size_t i = 0; i < A.size(); ++i) {
+        const double expect = refA[i] + (accumulate ? A0[i] : 0.0);
+        ASSERT_NEAR(A[i], expect, 1e-4)
+            << "f=" << f << " accumulate=" << accumulate << " A idx " << i;
+      }
+      for (std::size_t i = 0; i < B.size(); ++i) {
+        const double expect = refB[i] + (accumulate ? B0[i] : 0.0);
+        ASSERT_NEAR(B[i], expect, 1e-4)
+            << "f=" << f << " accumulate=" << accumulate << " B idx " << i;
+      }
+    }
+  }
+}
 
 TEST(HermitianBlock, AccumulateSumsPartitions) {
   // Computing over column partitions with accumulate=true must equal the
@@ -858,43 +986,60 @@ TEST(ImplicitAls, GramMatchesBruteForce) {
 }
 
 TEST(ImplicitAls, HermitianMatchesBruteForce) {
-  const int f = 6;
+  // G + Σ α·r·θθᵀ + λI against a double brute force, on rows with 0-9
+  // ratings; the result must also be the same for every KernelOptions.
   const real_t lambda = 0.1f;
-  const real_t alpha = 10.0f;
-  const auto R = small_ratings(20, 15, 120, 920);
-  const auto theta = random_theta(15, f, 921);
+  const real_t alpha = 2.0f;
+  const auto R = ragged_ratings(40, 19, 930);
   Device dev(0, gpusim::titan_x());
-
-  std::vector<real_t> G(static_cast<std::size_t>(f) * f);
-  gram_kernel(dev, theta.data(), 15, f, G.data());
-  std::vector<real_t> A(static_cast<std::size_t>(R.rows) * f * f);
-  std::vector<real_t> B(static_cast<std::size_t>(R.rows) * f);
-  get_hermitian_implicit(dev, R, 0, R.rows, theta.data(), G.data(), f, lambda,
-                         alpha, {}, A.data(), B.data());
-
-  for (idx_t u = 0; u < R.rows; ++u) {
-    const auto cols = R.row_cols(u);
-    const auto vals = R.row_vals(u);
-    for (int i = 0; i < f; ++i) {
-      for (int j = 0; j < f; ++j) {
-        double expect = G[static_cast<std::size_t>(i) * f + j];
-        if (i == j) expect += lambda;
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-          const real_t* tv = theta.data() + static_cast<std::size_t>(cols[k]) * f;
-          expect += static_cast<double>(alpha) * vals[k] *
-                    static_cast<double>(tv[i]) * tv[j];
+  for (const int f : {1, 4, 9, 16, 17, 100}) {
+    const auto theta = random_theta(R.cols, f, 931 + static_cast<unsigned>(f));
+    const std::size_t fsq = static_cast<std::size_t>(f) * f;
+    std::vector<real_t> G(fsq);
+    gram_kernel(dev, theta.data(), R.cols, f, G.data());
+    std::vector<real_t> A(static_cast<std::size_t>(R.rows) * fsq);
+    std::vector<real_t> B(static_cast<std::size_t>(R.rows) * f);
+    get_hermitian_implicit(dev, R, 0, R.rows, theta.data(), G.data(), f,
+                           lambda, alpha, {}, A.data(), B.data());
+    for (idx_t u = 0; u < R.rows; ++u) {
+      const auto cols = R.row_cols(u);
+      const auto vals = R.row_vals(u);
+      for (int i = 0; i < f; ++i) {
+        for (int j = 0; j < f; ++j) {
+          double expect = 0.0;
+          for (idx_t v = 0; v < R.cols; ++v) {
+            const real_t* tv = theta.data() + static_cast<std::size_t>(v) * f;
+            expect += static_cast<double>(tv[i]) * tv[j];
+          }
+          if (i == j) expect += lambda;
+          for (std::size_t k = 0; k < cols.size(); ++k) {
+            const real_t* tv = theta.data() + static_cast<std::size_t>(cols[k]) * f;
+            expect += static_cast<double>(alpha) * vals[k] *
+                      static_cast<double>(tv[i]) * tv[j];
+          }
+          ASSERT_NEAR(A[static_cast<std::size_t>(u) * fsq +
+                        static_cast<std::size_t>(i) * f + j],
+                      expect, 1e-3)
+              << "f=" << f << " u=" << u;
         }
-        EXPECT_NEAR(A[static_cast<std::size_t>(u) * f * f +
-                      static_cast<std::size_t>(i) * f + j],
-                    expect, 2e-2)
-            << "u=" << u;
+        double expect_b = 0.0;
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+          expect_b += (1.0 + static_cast<double>(alpha) * vals[k]) *
+                      theta[static_cast<std::size_t>(cols[k]) * f +
+                            static_cast<std::size_t>(i)];
+        }
+        ASSERT_NEAR(B[static_cast<std::size_t>(u) * f + i], expect_b, 1e-3)
+            << "f=" << f << " u=" << u;
       }
-      double expect_b = 0.0;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        expect_b += (1.0 + static_cast<double>(alpha) * vals[k]) *
-                    theta[static_cast<std::size_t>(cols[k]) * f + i];
-      }
-      EXPECT_NEAR(B[static_cast<std::size_t>(u) * f + i], expect_b, 1e-2);
+    }
+    for (const auto& kc : kKernelCases) {
+      std::vector<real_t> A2(A.size()), B2(B.size());
+      get_hermitian_implicit(dev, R, 0, R.rows, theta.data(), G.data(), f,
+                             lambda, alpha, kc.opt, A2.data(), B2.data());
+      EXPECT_EQ(std::memcmp(A2.data(), A.data(), A.size() * sizeof(real_t)), 0)
+          << kc.name << " f=" << f;
+      EXPECT_EQ(std::memcmp(B2.data(), B.data(), B.size() * sizeof(real_t)), 0)
+          << kc.name << " f=" << f;
     }
   }
 }

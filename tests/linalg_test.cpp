@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -22,74 +23,168 @@ std::vector<real_t> random_columns(int bin, int f, std::uint64_t seed) {
 
 // ---------------------------------------------------- hermitian kernels ----
 
+// Double-precision reference of hermitian_row over `n` contiguous columns:
+// A = seed + Σ wa_k·θθᵀ + diag·I, B = Σ wb_k·θ (weights default to 1 / 0).
+void reference_row(const std::vector<real_t>& cols, std::size_t n, int f,
+                   const real_t* wa, const real_t* wb, double diag,
+                   std::vector<double>& A, std::vector<double>& B) {
+  A.assign(static_cast<std::size_t>(f) * f, 0.0);
+  B.assign(static_cast<std::size_t>(f), 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const real_t* t = cols.data() + k * static_cast<std::size_t>(f);
+    const double a = wa ? wa[k] : 1.0;
+    for (int i = 0; i < f; ++i) {
+      for (int j = 0; j < f; ++j) {
+        A[static_cast<std::size_t>(i) * f + j] +=
+            a * static_cast<double>(t[i]) * t[j];
+      }
+      if (wb) B[static_cast<std::size_t>(i)] += static_cast<double>(wb[k]) * t[i];
+    }
+  }
+  for (int i = 0; i < f; ++i) A[static_cast<std::size_t>(i) * f + i] += diag;
+}
+
 class HermitianKernelTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(HermitianKernelTest, RegisterPathMatchesGlobalPath) {
+TEST_P(HermitianKernelTest, MatchesDoubleReference) {
+  // Column counts cover empty rows, the scalar tail alone (1, 3), whole
+  // 4-column passes (4, 8) and passes plus a tail (5, 30).
   const int f = GetParam();
-  for (const int bin : {1, 3, 10, 30}) {
-    const auto cols = random_columns(bin, f, 100 + static_cast<unsigned>(f));
-    std::vector<real_t> a_global(static_cast<std::size_t>(f) * f, 0.0f);
-    std::vector<real_t> a_regs(a_global);
-    rank1_accumulate_global(a_global.data(), cols.data(), bin, f);
-    rank1_accumulate_registers(a_regs.data(), cols.data(), bin, f);
-    for (std::size_t i = 0; i < a_global.size(); ++i) {
-      EXPECT_NEAR(a_global[i], a_regs[i], 1e-4f * bin)
-          << "f=" << f << " bin=" << bin << " idx=" << i;
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 30u}) {
+    const auto cols = random_columns(static_cast<int>(n), f, 100 + static_cast<unsigned>(f));
+    const auto wb = random_columns(static_cast<int>(n), 1, 200 + n);
+    const WeightedColumns c{cols.data(), nullptr, nullptr, wb.data(), n};
+    std::vector<real_t> A(static_cast<std::size_t>(f) * f, -7.0f);
+    std::vector<real_t> B(static_cast<std::size_t>(f), -7.0f);
+    std::vector<real_t> sa(A.size()), sb(B.size());
+    hermitian_row(c, nullptr, 0.25f, f, sa.data(), sb.data(), A.data(),
+                  B.data(), /*accumulate=*/false);
+    std::vector<double> refA, refB;
+    reference_row(cols, n, f, nullptr, wb.data(), 0.25, refA, refB);
+    for (std::size_t i = 0; i < A.size(); ++i) {
+      EXPECT_NEAR(A[i], refA[i], 1e-5 * static_cast<double>(n + 1))
+          << "f=" << f << " n=" << n << " idx=" << i;
+    }
+    for (std::size_t i = 0; i < B.size(); ++i) {
+      EXPECT_NEAR(B[i], refB[i], 1e-5 * static_cast<double>(n + 1))
+          << "f=" << f << " n=" << n << " idx=" << i;
     }
   }
 }
 
-TEST_P(HermitianKernelTest, ResultIsSymmetric) {
+TEST_P(HermitianKernelTest, ResultIsExactlySymmetric) {
   const int f = GetParam();
-  const int bin = 20;
-  const auto cols = random_columns(bin, f, 555);
-  std::vector<real_t> A(static_cast<std::size_t>(f) * f, 0.0f);
-  rank1_accumulate_registers(A.data(), cols.data(), bin, f);
+  const std::size_t n = 21;
+  const auto cols = random_columns(static_cast<int>(n), f, 555);
+  std::vector<real_t> A(static_cast<std::size_t>(f) * f);
+  std::vector<real_t> B(static_cast<std::size_t>(f));
+  std::vector<real_t> sa(A.size()), sb(B.size());
+  hermitian_row({cols.data(), nullptr, nullptr, nullptr, n}, nullptr, 0.0f, f,
+                sa.data(), sb.data(), A.data(), B.data(), false);
   for (int i = 0; i < f; ++i) {
     for (int j = 0; j < f; ++j) {
-      EXPECT_NEAR(A[static_cast<std::size_t>(i) * f + j],
-                  A[static_cast<std::size_t>(j) * f + i], 1e-4f);
+      EXPECT_EQ(A[static_cast<std::size_t>(i) * f + j],
+                A[static_cast<std::size_t>(j) * f + i]);
     }
   }
 }
 
 TEST_P(HermitianKernelTest, DiagonalIsSumOfSquares) {
   const int f = GetParam();
-  const int bin = 7;
-  const auto cols = random_columns(bin, f, 777);
+  const std::size_t n = 7;
+  const auto cols = random_columns(static_cast<int>(n), f, 777);
   std::vector<real_t> A(static_cast<std::size_t>(f) * f, 0.0f);
-  rank1_accumulate_registers(A.data(), cols.data(), bin, f);
+  accumulate_upper(A.data(), nullptr,
+                   {cols.data(), nullptr, nullptr, nullptr, n}, f);
   for (int i = 0; i < f; ++i) {
     double expect = 0.0;
-    for (int k = 0; k < bin; ++k) {
-      const real_t v = cols[static_cast<std::size_t>(k) * f + i];
+    for (std::size_t k = 0; k < n; ++k) {
+      const real_t v = cols[k * static_cast<std::size_t>(f) + static_cast<std::size_t>(i)];
       expect += static_cast<double>(v) * v;
     }
     EXPECT_NEAR(A[static_cast<std::size_t>(i) * f + i], expect, 1e-4);
   }
 }
 
-// f values straddle the register-tile edge (4): below, at, above,
-// non-multiples, and the paper's f=100.
+TEST_P(HermitianKernelTest, LeavesStrictLowerTriangleAlone) {
+  const int f = GetParam();
+  const std::size_t n = 6;
+  const auto cols = random_columns(static_cast<int>(n), f, 888);
+  std::vector<real_t> A(static_cast<std::size_t>(f) * f, 0.0f);
+  for (int i = 0; i < f; ++i) {
+    for (int j = 0; j < i; ++j) A[static_cast<std::size_t>(i) * f + j] = 42.0f;
+  }
+  accumulate_upper(A.data(), nullptr,
+                   {cols.data(), nullptr, nullptr, nullptr, n}, f);
+  for (int i = 0; i < f; ++i) {
+    for (int j = 0; j < i; ++j) {
+      EXPECT_EQ(A[static_cast<std::size_t>(i) * f + j], 42.0f);
+    }
+  }
+}
+
+TEST_P(HermitianKernelTest, WeightsIndicesSeedAndAccumulate) {
+  // Gathered columns (out of order, via indices) with per-column A and B
+  // weights, a symmetric seed, and accumulate=true on top of existing output.
+  const int f = GetParam();
+  const std::size_t n = 11;
+  const std::size_t pool = 17;
+  const auto theta = random_columns(static_cast<int>(pool), f, 999);
+  const std::vector<idx_t> idx = {16, 3, 0, 9, 4, 11, 2, 15, 7, 1, 13};
+  const auto wa = random_columns(static_cast<int>(n), 1, 1001);
+  const auto wb = random_columns(static_cast<int>(n), 1, 1002);
+  std::vector<real_t> gathered(n * static_cast<std::size_t>(f));
+  for (std::size_t k = 0; k < n; ++k) {
+    std::copy_n(theta.data() + static_cast<std::size_t>(idx[k]) * f, f,
+                gathered.data() + k * static_cast<std::size_t>(f));
+  }
+  // Symmetric seed S and pre-existing output O.
+  const auto m = random_columns(f, f, 1003);
+  std::vector<real_t> seed(static_cast<std::size_t>(f) * f);
+  for (int i = 0; i < f; ++i) {
+    for (int j = 0; j < f; ++j) {
+      seed[static_cast<std::size_t>(i) * f + j] =
+          m[static_cast<std::size_t>(i) * f + j] + m[static_cast<std::size_t>(j) * f + i];
+    }
+  }
+  const auto a0 = random_columns(f, f, 1004);
+  const auto b0 = random_columns(1, f, 1005);
+  std::vector<real_t> A(a0), B(b0);
+  std::vector<real_t> sa(A.size()), sb(B.size());
+  hermitian_row({theta.data(), idx.data(), wa.data(), wb.data(), n},
+                seed.data(), 0.5f, f, sa.data(), sb.data(), A.data(), B.data(),
+                /*accumulate=*/true);
+
+  std::vector<double> refA, refB;
+  reference_row(gathered, n, f, wa.data(), wb.data(), 0.5, refA, refB);
+  for (std::size_t i = 0; i < A.size(); ++i) {
+    EXPECT_NEAR(A[i], a0[i] + seed[i] + refA[i], 1e-4) << "f=" << f << " idx=" << i;
+  }
+  for (std::size_t i = 0; i < B.size(); ++i) {
+    EXPECT_NEAR(B[i], b0[i] + refB[i], 1e-4) << "f=" << f << " idx=" << i;
+  }
+}
+
+// f values straddle the SIMD width (4): below, at, above, non-multiples,
+// and the paper's f=100.
 INSTANTIATE_TEST_SUITE_P(FeatureDims, HermitianKernelTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16, 32, 64,
                                            100));
 
-TEST(Hermitian, SingleRank1Update) {
+TEST(Hermitian, SingleColumn) {
   const int f = 3;
   const real_t theta[3] = {1.0f, 2.0f, -1.0f};
-  std::vector<real_t> A(9, 0.0f);
-  rank1_update_global(A.data(), theta, f);
+  const real_t r = 2.0f;
+  std::vector<real_t> A(9), B(3), sa(9), sb(3);
+  hermitian_row({theta, nullptr, nullptr, &r, 1}, nullptr, 0.0f, f, sa.data(),
+                sb.data(), A.data(), B.data(), false);
   const real_t expect[9] = {1, 2, -1, 2, 4, -2, -1, -2, 1};
   for (int i = 0; i < 9; ++i) EXPECT_FLOAT_EQ(A[static_cast<std::size_t>(i)], expect[i]);
+  for (int i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(B[static_cast<std::size_t>(i)], 2.0f * theta[i]);
 }
 
-TEST(Hermitian, AxpyAndDot) {
-  real_t y[4] = {1, 1, 1, 1};
+TEST(Hermitian, Dot) {
   const real_t x[4] = {1, 2, 3, 4};
-  axpy(y, 2.0f, x, 4);
-  EXPECT_FLOAT_EQ(y[0], 3.0f);
-  EXPECT_FLOAT_EQ(y[3], 9.0f);
   EXPECT_DOUBLE_EQ(dot(x, x, 4), 30.0);
 }
 
