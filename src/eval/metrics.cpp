@@ -114,8 +114,15 @@ RankingQuality ranking_quality(const sparse::CooMatrix& holdout,
 
   const int f = X.f();
   const idx_t users = std::min<idx_t>(X.rows(), holdout.rows);
+  const auto kk = static_cast<std::size_t>(k);
+  // Ranking order matches serving: score desc, item id asc on ties.
+  using Scored = std::pair<double, idx_t>;
+  const auto better = [](const Scored& a, const Scored& b) {
+    return a.first > b.first || (a.first == b.first && a.second < b.second);
+  };
   std::vector<idx_t> rated;
-  std::vector<std::pair<double, idx_t>> scored;
+  std::vector<Scored> best;  // heap under `better`: worst kept at the front
+  best.reserve(std::min(kk, static_cast<std::size_t>(Theta.rows())));
   std::vector<idx_t> top;
   double recall_sum = 0.0;
   double ndcg_sum = 0.0;
@@ -129,21 +136,26 @@ RankingQuality ranking_quality(const sparse::CooMatrix& holdout,
       rated.assign(cols.begin(), cols.end());
       std::sort(rated.begin(), rated.end());
     }
-    scored.clear();
+    // One sweep over Θ: a cursor walks the sorted rated list alongside it,
+    // and a k-entry heap keeps the best candidates seen so far.
+    best.clear();
+    std::size_t next_rated = 0;
     for (idx_t v = 0; v < Theta.rows(); ++v) {
-      if (std::binary_search(rated.begin(), rated.end(), v)) continue;
-      scored.emplace_back(linalg::dot(X.row(u), Theta.row(v), f), v);
+      while (next_rated < rated.size() && rated[next_rated] < v) ++next_rated;
+      if (next_rated < rated.size() && rated[next_rated] == v) continue;
+      const Scored c{linalg::dot(X.row(u), Theta.row(v), f), v};
+      if (best.size() < kk) {
+        best.push_back(c);
+        std::push_heap(best.begin(), best.end(), better);
+      } else if (better(c, best.front())) {
+        std::pop_heap(best.begin(), best.end(), better);
+        best.back() = c;
+        std::push_heap(best.begin(), best.end(), better);
+      }
     }
-    const std::size_t kk = std::min<std::size_t>(
-        static_cast<std::size_t>(k), scored.size());
-    // Ranking order matches serving: score desc, item id asc on ties.
-    std::partial_sort(scored.begin(), scored.begin() + kk, scored.end(),
-                      [](const auto& a, const auto& b) {
-                        return a.first > b.first ||
-                               (a.first == b.first && a.second < b.second);
-                      });
+    std::sort_heap(best.begin(), best.end(), better);
     top.clear();
-    for (std::size_t i = 0; i < kk; ++i) top.push_back(scored[i].second);
+    for (const Scored& c : best) top.push_back(c.second);
 
     recall_sum += recall_at_k(top, rel);
     ndcg_sum += ndcg_at_k(top, rel);

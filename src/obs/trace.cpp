@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 #include <vector>
 
 namespace cumf::obs {
@@ -126,8 +127,28 @@ void TraceCollector::record_event(const char* name, char phase, double ts_us,
   // it races with is skipped rather than exported torn. Payload stores are
   // release so a reader that acquires any of them also sees the odd tag
   // (no standalone fences: ThreadSanitizer does not model them).
+  //
+  // The slot is claimed with a CAS, so its tag only ever moves forward.
+  // Tickets t and t + capacity share a slot: a writer that reaches it after
+  // a newer ticket did (it was stalled for a whole lap) drops its event,
+  // which is one of the events_dropped() anyway, instead of rolling the tag
+  // back and hiding the newer event. A writer that finds an older one
+  // mid-payload waits for its even tag, so two payloads never interleave;
+  // that too needs a writer stalled for a lap inside the dozen stores below.
   constexpr auto kRel = std::memory_order_release;
-  slot.seq.store(2 * ticket + 1, kRel);
+  constexpr auto kAcq = std::memory_order_acquire;
+  constexpr auto kAcqRel = std::memory_order_acq_rel;
+  const std::uint64_t writing = 2 * ticket + 1;
+  std::uint64_t seen = slot.seq.load(kAcq);
+  while (true) {
+    if (seen > writing) return;  // lapped by a newer ticket
+    if (seen % 2 == 1) {         // an older writer is mid-payload
+      std::this_thread::yield();
+      seen = slot.seq.load(kAcq);
+    } else if (slot.seq.compare_exchange_weak(seen, writing, kAcqRel, kAcq)) {
+      break;
+    }
+  }
   slot.name.store(name, kRel);
   slot.phase.store(static_cast<std::uint8_t>(phase), kRel);
   slot.tid.store(current_tid(), kRel);

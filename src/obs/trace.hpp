@@ -19,11 +19,13 @@
 //  - disabled must be (nearly) free: every instrumentation site is gated on
 //    one relaxed atomic load; no ring exists until the first enable().
 //  - recording must never block or allocate: span names and argument keys
-//    are static string literals, payloads are fixed-size, and writers claim
-//    slots with one fetch_add. Per-slot sequence numbers (a seqlock keyed by
-//    the 64-bit ticket) let the exporter detect and skip slots that a
-//    concurrent writer is overwriting — the ring wraps by overwriting the
-//    oldest events rather than ever making a writer wait.
+//    are static string literals, payloads are fixed-size, and writers take
+//    a ticket with one fetch_add and claim its slot with one CAS. Per-slot
+//    sequence numbers (a seqlock keyed by the 64-bit ticket) let the
+//    exporter detect and skip slots that a concurrent writer is
+//    overwriting — the ring wraps by overwriting the oldest events. The
+//    one wait: a writer that laps another still filling the same slot
+//    yields until that payload is published.
 //  - everything a writer touches is a std::atomic, so concurrent record /
 //    export is free of data races (TSan-clean) by construction. A reader
 //    that loses the seqlock race simply drops that slot; the worst possible

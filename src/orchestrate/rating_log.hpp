@@ -16,12 +16,22 @@
 // not thrown), the same contract the serving path applies to unknown user
 // ids.
 //
+// The log keeps the merged matrix compiled across snapshots. The first
+// snapshot() compiles the base COO into CSR + CSC (construction stays O(1));
+// every later one applies only its batch of deltas, O(deltas · row length)
+// for the lookups plus one backward merge pass that makes room for new
+// pairs. The arrays are exactly what coo_to_csr / csr_to_csc of the merged
+// COO would build: a new pair lands at the end of its CSR row in arrival
+// order and at its row-sorted place in the CSC, and an overwrite of a
+// duplicated base pair hits its first occurrence.
+//
 // append() is a mutex push_back — cheap enough to sit on the network io
-// thread — and snapshot() does the O(base + deltas) merge under the same
-// mutex only long enough to copy the pending vector out, so ingestion never
-// stalls behind a retrain.
+// thread — and snapshot() holds the same mutex only long enough to take the
+// pending vector, so ingestion never stalls behind a retrain.
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -62,11 +72,18 @@ class RatingLog {
   /// retrain-trigger signal.
   [[nodiscard]] std::uint64_t pending() const;
 
+  /// Base + deltas, last-writer-wins, in both orientations.
+  struct Ratings {
+    sparse::CsrMatrix csr;    // for update-X
+    sparse::CsrMatrix csr_t;  // CSR of the transpose, for update-Θ
+  };
+
   struct Snapshot {
-    sparse::CooMatrix coo;   // base + deltas, last-writer-wins
-    sparse::CsrMatrix csr;   // coo compiled for update-X
-    sparse::CsrMatrix csr_t; // CSR of the transpose, for update-Θ
-    std::uint64_t deltas_applied = 0;  // lifetime deltas merged into `coo`
+    /// Shared and immutable: the log copies before its next merge while any
+    /// snapshot still holds these arrays, and updates them in place once
+    /// none does.
+    std::shared_ptr<const Ratings> ratings;
+    std::uint64_t deltas_applied = 0;  // lifetime deltas merged in
     /// Distinct user/item ids the deltas merged by THIS snapshot touched
     /// (sorted ascending, deduplicated; empty when no deltas arrived).
     /// Collected inside the merge loop itself — no extra pass over the base
@@ -74,25 +91,45 @@ class RatingLog {
     /// leaves every other factor row bit-identical to its warm start.
     std::vector<idx_t> touched_users;
     std::vector<idx_t> touched_items;
+
+    [[nodiscard]] const sparse::CsrMatrix& csr() const { return ratings->csr; }
+    [[nodiscard]] const sparse::CsrMatrix& csr_t() const {
+      return ratings->csr_t;
+    }
   };
 
-  /// Merges base + all accepted deltas into a training-ready snapshot and
-  /// resets pending() to the deltas that arrive afterwards. Safe to call
-  /// concurrently with append(); snapshot() callers must serialize among
-  /// themselves (the Orchestrator's cycle lock does).
+  /// Merges all accepted deltas into the log's matrix and hands out a view
+  /// of it; resets pending() to the deltas that arrive afterwards. Safe to
+  /// call concurrently with append(); snapshot() callers must serialize
+  /// among themselves (the Orchestrator's cycle lock does). A snapshot may
+  /// be kept and released on any thread.
   [[nodiscard]] Snapshot snapshot();
 
  private:
+  /// The merged matrix plus a count of the snapshots viewing it. A snapshot
+  /// decrements `readers` (release) when its last copy goes; the log reads
+  /// it (acquire) before it writes, so no reader's access races the merge.
+  struct Shared {
+    Ratings ratings;
+    std::atomic<std::uint64_t> readers{0};
+  };
+
+  /// The matrix the next merge may write: compiled from base_ on first
+  /// use, copied first when a snapshot still views it.
+  Ratings& writable();
+  void merge(const std::vector<RatingDelta>& deltas, Snapshot* s);
+
   idx_t rows_;
   idx_t cols_;
 
   mutable std::mutex mu_;
-  // Base folded forward: each snapshot merges pending deltas into merged_
-  // so repeated retrains don't replay the whole delta history.
-  sparse::CooMatrix merged_;
   std::vector<RatingDelta> pending_;
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;
+
+  // Touched only by snapshot(), which callers serialize.
+  sparse::CooMatrix base_;  // released once compiled into merged_
+  std::shared_ptr<Shared> merged_;
   std::uint64_t applied_ = 0;
 };
 

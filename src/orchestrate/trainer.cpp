@@ -6,7 +6,6 @@
 
 #include "baselines/sgd_common.hpp"
 #include "core/checkpoint.hpp"
-#include "eval/metrics.hpp"
 #include "gpusim/device_group.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -57,7 +56,8 @@ TrainResult FullAlsTrainer::train_impl(const RatingLog::Snapshot& snap,
   gpusim::DeviceGroup gpus(opt_.devices, opt_.device_spec, topo);
   core::SolverConfig cfg = opt_.solver;
   cfg.als.iterations = opt_.iterations;
-  core::AlsSolver solver(gpus.pointers(), topo, snap.csr, snap.csr_t, cfg);
+  core::AlsSolver solver(gpus.pointers(), topo, snap.csr(), snap.csr_t(),
+                         cfg);
 
   const bool warm = opt_.warm_start && warm_x != nullptr &&
                     warm_theta != nullptr &&
@@ -74,7 +74,6 @@ TrainResult FullAlsTrainer::train_impl(const RatingLog::Snapshot& snap,
   result.modeled_seconds = solver.modeled_seconds();
   result.x = solver.x();
   result.theta = solver.theta();
-  result.train_rmse = eval::rmse(snap.coo, result.x, result.theta);
   return result;
 }
 
@@ -86,8 +85,10 @@ IncrementalSgdTrainer::IncrementalSgdTrainer(IncrementalSgdOptions opt,
 TrainResult IncrementalSgdTrainer::train_impl(
     const RatingLog::Snapshot& snap, const linalg::FactorMatrix* warm_x,
     const linalg::FactorMatrix* warm_theta) {
+  const sparse::CsrMatrix& csr = snap.csr();
+  const sparse::CsrMatrix& csr_t = snap.csr_t();
   if (warm_x == nullptr || warm_theta == nullptr ||
-      warm_x->rows() != snap.csr.rows || warm_theta->rows() != snap.csr.cols ||
+      warm_x->rows() != csr.rows || warm_theta->rows() != csr.cols ||
       warm_x->f() != warm_theta->f()) {
     throw std::runtime_error(
         "incremental tier requires warm factors shaped like the snapshot");
@@ -99,8 +100,8 @@ TrainResult IncrementalSgdTrainer::train_impl(
   const int f = result.x.f();
 
   // Touched-row masks. RatingLog guarantees ids within the base dimensions.
-  std::vector<char> user_touched(static_cast<std::size_t>(snap.csr.rows), 0);
-  std::vector<char> item_touched(static_cast<std::size_t>(snap.csr.cols), 0);
+  std::vector<char> user_touched(static_cast<std::size_t>(csr.rows), 0);
+  std::vector<char> item_touched(static_cast<std::size_t>(csr.cols), 0);
   for (const idx_t u : snap.touched_users) {
     user_touched[static_cast<std::size_t>(u)] = 1;
   }
@@ -119,15 +120,15 @@ TrainResult IncrementalSgdTrainer::train_impl(
   };
   std::vector<Sample> samples;
   for (const idx_t u : snap.touched_users) {
-    const auto cols = snap.csr.row_cols(u);
-    const auto vals = snap.csr.row_vals(u);
+    const auto cols = csr.row_cols(u);
+    const auto vals = csr.row_vals(u);
     for (std::size_t i = 0; i < cols.size(); ++i) {
       samples.push_back({u, cols[i], vals[i]});
     }
   }
   for (const idx_t v : snap.touched_items) {
-    const auto users = snap.csr_t.row_cols(v);
-    const auto vals = snap.csr_t.row_vals(v);
+    const auto users = csr_t.row_cols(v);
+    const auto vals = csr_t.row_vals(v);
     for (std::size_t i = 0; i < users.size(); ++i) {
       if (user_touched[static_cast<std::size_t>(users[i])]) continue;  // dup
       samples.push_back({users[i], v, vals[i]});
@@ -162,7 +163,6 @@ TrainResult IncrementalSgdTrainer::train_impl(
           costmodel::libmf_efficiency(opt_.model_threads),
           static_cast<double>(samples.size()), f) *
       opt_.epochs;
-  result.train_rmse = eval::rmse(snap.coo, result.x, result.theta);
   return result;
 }
 

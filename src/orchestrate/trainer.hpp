@@ -99,7 +99,6 @@ struct TrainResult {
   int iterations = 0;            // ALS iterations or SGD epochs this cycle
   double wall_ms = 0.0;          // host wall time of the training run
   double modeled_seconds = 0.0;  // simulated device / machine-model clock
-  double train_rmse = 0.0;       // RMSE on the snapshot it trained on
   /// Incremental tier: distinct delta-touched user/item rows rewritten and
   /// rating samples visited per epoch. Zero for the full tier (it rewrites
   /// every row).

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,8 +19,11 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -28,6 +32,7 @@
 #include "data/synthetic.hpp"
 #include "eval/metrics.hpp"
 #include "gpusim/device_group.hpp"
+#include "linalg/hermitian.hpp"
 #include "orchestrate/orchestrator.hpp"
 #include "orchestrate/quality_gate.hpp"
 #include "orchestrate/rating_log.hpp"
@@ -185,23 +190,23 @@ TEST(RatingLog, MergesDeltasLastWriterWins) {
   auto snap = log.snapshot();
   EXPECT_EQ(log.pending(), 0u);
   EXPECT_EQ(snap.deltas_applied, 3u);
-  ASSERT_EQ(snap.coo.nnz(), 3u);  // 2 base + 1 new, overwrites in place
-  EXPECT_EQ(snap.csr.rows, 4);
-  EXPECT_EQ(snap.csr.cols, 3);
-  const auto dense = sparse::to_dense(snap.csr);
+  ASSERT_EQ(snap.csr().nnz(), 3u);  // 2 base + 1 new, overwrites in place
+  EXPECT_EQ(snap.csr().rows, 4);
+  EXPECT_EQ(snap.csr().cols, 3);
+  const auto dense = sparse::to_dense(snap.csr());
   EXPECT_FLOAT_EQ(dense[0 * 3 + 0], 5.0f);
   EXPECT_FLOAT_EQ(dense[1 * 3 + 1], 2.0f);
   EXPECT_FLOAT_EQ(dense[2 * 3 + 2], 4.0f);
 
   // The transpose mirrors the merged matrix.
-  EXPECT_EQ(snap.csr_t.rows, 3);
-  EXPECT_EQ(snap.csr_t.cols, 4);
-  const auto dense_t = sparse::to_dense(snap.csr_t);
+  EXPECT_EQ(snap.csr_t().rows, 3);
+  EXPECT_EQ(snap.csr_t().cols, 4);
+  const auto dense_t = sparse::to_dense(snap.csr_t());
   EXPECT_FLOAT_EQ(dense_t[0 * 4 + 0], 5.0f);
 
   // A snapshot with nothing pending reproduces the same matrix.
   auto again = log.snapshot();
-  EXPECT_EQ(again.coo.nnz(), 3u);
+  EXPECT_EQ(again.csr().nnz(), 3u);
   EXPECT_EQ(again.deltas_applied, 3u);
 }
 
@@ -228,6 +233,262 @@ TEST(RatingLog, SnapshotCollectsTouchedRowsFromMergedDeltas) {
   auto again = log.snapshot();
   EXPECT_TRUE(again.touched_users.empty());
   EXPECT_TRUE(again.touched_items.empty());
+}
+
+/// The merge RatingLog ran before it kept its matrix across snapshots, kept
+/// here as the oracle: a hash index over the whole merged COO (the first
+/// occurrence of a duplicated pair wins), overwrite or append per delta,
+/// then coo_to_csr + csr_to_csc of the result.
+struct RebuildOracle {
+  sparse::CooMatrix merged;
+  std::uint64_t applied = 0;
+
+  struct Out {
+    sparse::CsrMatrix csr;
+    sparse::CsrMatrix csr_t;
+    std::vector<idx_t> touched_users;
+    std::vector<idx_t> touched_items;
+  };
+
+  Out snapshot(const std::vector<orchestrate::RatingDelta>& deltas) {
+    Out out;
+    std::unordered_map<std::uint64_t, std::size_t> index;
+    const auto key = [](idx_t u, idx_t v) {
+      return static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)) << 32 |
+             static_cast<std::uint32_t>(v);
+    };
+    for (std::size_t i = 0; i < merged.val.size(); ++i) {
+      index.emplace(key(merged.row[i], merged.col[i]), i);
+    }
+    for (const auto& d : deltas) {
+      const auto [it, inserted] =
+          index.try_emplace(key(d.user, d.item), merged.val.size());
+      if (inserted) {
+        merged.push_back(d.user, d.item, d.value);
+      } else {
+        merged.val[it->second] = d.value;
+      }
+      out.touched_users.push_back(d.user);
+      out.touched_items.push_back(d.item);
+    }
+    applied += deltas.size();
+    for (auto* ids : {&out.touched_users, &out.touched_items}) {
+      std::sort(ids->begin(), ids->end());
+      ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+    }
+    out.csr = sparse::coo_to_csr(merged);
+    out.csr_t = sparse::csc_as_csr_of_transpose(sparse::csr_to_csc(out.csr));
+    return out;
+  }
+};
+
+void expect_same_csr(const sparse::CsrMatrix& got,
+                     const sparse::CsrMatrix& want, const std::string& what) {
+  EXPECT_EQ(got.rows, want.rows) << what;
+  EXPECT_EQ(got.cols, want.cols) << what;
+  EXPECT_EQ(got.row_ptr, want.row_ptr) << what;
+  EXPECT_EQ(got.col_ind, want.col_ind) << what;
+  EXPECT_EQ(got.vals, want.vals) << what;  // exact: bit-identical floats
+}
+
+TEST(RatingLog, IncrementalMergeMatchesAFullRebuild) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    const auto rows = static_cast<idx_t>(1 + rng.next_below(30));
+    const auto cols = static_cast<idx_t>(1 + rng.next_below(20));
+    const auto pick = [&rng](idx_t n) {
+      return static_cast<idx_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+    };
+    sparse::CooMatrix base;
+    base.rows = rows;
+    base.cols = cols;
+    const auto base_nnz = rng.next_below(120);
+    for (std::uint64_t k = 0; k < base_nnz; ++k) {
+      if (k > 0 && rng.next_below(8) == 0) {  // a duplicated base pair
+        const auto j = rng.next_below(k);
+        base.push_back(base.row[j], base.col[j], rng.next_real());
+      } else {
+        base.push_back(pick(rows), pick(cols), rng.next_real());
+      }
+    }
+
+    RebuildOracle oracle{base};
+    orchestrate::RatingLog log(std::move(base));
+    std::vector<orchestrate::RatingDelta> history;  // every accepted delta
+    std::vector<orchestrate::RatingLog::Snapshot> held;
+    for (int round = 0; round < 6; ++round) {
+      std::vector<orchestrate::RatingDelta> batch;
+      const auto n = rng.next_below(60);
+      for (std::uint64_t k = 0; k < n; ++k) {
+        orchestrate::RatingDelta d{pick(rows), pick(cols), rng.next_real()};
+        switch (rng.next_below(6)) {
+          case 0:  // overwrite a base pair
+            if (!oracle.merged.val.empty()) {
+              const auto j = rng.next_below(oracle.merged.val.size());
+              d.user = oracle.merged.row[j];
+              d.item = oracle.merged.col[j];
+            }
+            break;
+          case 1:  // overwrite an earlier snapshot's delta
+            if (!history.empty()) {
+              const auto& h = history[rng.next_below(history.size())];
+              d.user = h.user;
+              d.item = h.item;
+            }
+            break;
+          case 2:  // overwrite a delta of this batch
+            if (!batch.empty()) {
+              const auto& h = batch[rng.next_below(batch.size())];
+              d.user = h.user;
+              d.item = h.item;
+            }
+            break;
+          case 3: {  // rejected: out-of-range ids, a non-finite value
+            const real_t inf = std::numeric_limits<real_t>::infinity();
+            EXPECT_FALSE(log.append(rows + pick(3), d.item, d.value));
+            EXPECT_FALSE(log.append(d.user, -1 - pick(3), d.value));
+            EXPECT_FALSE(log.append(d.user, d.item, inf));
+            continue;
+          }
+          default:  // most likely a new pair
+            break;
+        }
+        ASSERT_TRUE(log.append(d.user, d.item, d.value));
+        batch.push_back(d);
+      }
+      history.insert(history.end(), batch.begin(), batch.end());
+
+      const auto want = oracle.snapshot(batch);
+      auto snap = log.snapshot();
+      const std::string what =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      expect_same_csr(snap.csr(), want.csr, what + " csr");
+      expect_same_csr(snap.csr_t(), want.csr_t, what + " csr_t");
+      EXPECT_EQ(snap.touched_users, want.touched_users) << what;
+      EXPECT_EQ(snap.touched_items, want.touched_items) << what;
+      EXPECT_EQ(snap.deltas_applied, oracle.applied) << what;
+      // Holding some snapshots sends the next merge down the copy path.
+      if (rng.next_below(2) == 0) held.push_back(std::move(snap));
+    }
+  }
+}
+
+TEST(RatingLog, HeldSnapshotKeepsItsContents) {
+  sparse::CooMatrix base;
+  base.rows = 5;
+  base.cols = 4;
+  base.push_back(0, 1, 1.0f);
+  base.push_back(2, 3, 2.0f);
+  base.push_back(4, 0, 3.0f);
+  orchestrate::RatingLog log(std::move(base));
+
+  ASSERT_TRUE(log.append(1, 1, 4.0f));
+  auto first = log.snapshot();
+  const sparse::CsrMatrix csr = first.csr();
+  const sparse::CsrMatrix csr_t = first.csr_t();
+
+  ASSERT_TRUE(log.append(0, 1, 9.0f));  // overwrite
+  ASSERT_TRUE(log.append(3, 2, 5.0f));  // new pair
+  auto second = log.snapshot();
+  EXPECT_NE(first.ratings.get(), second.ratings.get());
+  expect_same_csr(first.csr(), csr, "held csr");
+  expect_same_csr(first.csr_t(), csr_t, "held csr_t");
+  EXPECT_EQ(second.csr().nnz(), csr.nnz() + 1);
+
+  // Once nothing views the matrix, the next merge writes it in place.
+  const auto* arrays = second.ratings.get();
+  first = {};
+  second = {};
+  ASSERT_TRUE(log.append(3, 3, 6.0f));
+  auto third = log.snapshot();
+  EXPECT_EQ(third.ratings.get(), arrays);
+  EXPECT_EQ(third.csr().nnz(), csr.nnz() + 2);
+
+  // A view outlives the log that handed it out.
+  std::optional<orchestrate::RatingLog::Snapshot> orphan;
+  {
+    sparse::CooMatrix small;
+    small.rows = 2;
+    small.cols = 2;
+    small.push_back(1, 0, 7.0f);
+    orchestrate::RatingLog gone(std::move(small));
+    orphan = gone.snapshot();
+  }
+  EXPECT_EQ(sparse::to_dense(orphan->csr()),
+            (std::vector<real_t>{0.0f, 0.0f, 7.0f, 0.0f}));
+}
+
+TEST(RatingLog, AppendRunsConcurrentlyWithSnapshot) {
+  constexpr int kWriters = 3;
+  constexpr int kPerWriter = 1500;
+  constexpr idx_t kUsersPerWriter = 20;
+  constexpr idx_t kItems = 25;
+  sparse::CooMatrix base;
+  base.rows = kWriters * kUsersPerWriter;
+  base.cols = kItems;
+  for (idx_t u = 0; u < base.rows; u += 3) base.push_back(u, u % kItems, 1.0f);
+  RebuildOracle oracle{base};
+  orchestrate::RatingLog log(std::move(base));
+
+  // Each writer owns a user range, so the merged matrix does not depend on
+  // how the writers interleave or where the snapshots cut the stream.
+  std::vector<std::vector<orchestrate::RatingDelta>> streams(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    util::Rng rng(700 + static_cast<std::uint64_t>(w));
+    for (int k = 0; k < kPerWriter; ++k) {
+      const auto u = static_cast<idx_t>(rng.next_below(kUsersPerWriter));
+      const auto v = static_cast<idx_t>(rng.next_below(kItems));
+      streams[w].push_back({w * kUsersPerWriter + u, v, rng.next_real()});
+    }
+  }
+
+  // Snapshots go to a reader thread that scans and drops them while later
+  // merges run, in place or on a copy.
+  std::mutex handoff_mu;
+  std::vector<orchestrate::RatingLog::Snapshot> handoff;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    double sink = 0.0;
+    while (true) {
+      std::vector<orchestrate::RatingLog::Snapshot> taken;
+      {
+        std::lock_guard<std::mutex> lock(handoff_mu);
+        taken.swap(handoff);
+      }
+      for (const auto& s : taken) {
+        for (const real_t v : s.csr().vals) sink += v;
+        for (const real_t v : s.csr_t().vals) sink -= v;
+      }
+      if (taken.empty() && done.load()) break;
+      std::this_thread::yield();
+    }
+    EXPECT_NEAR(sink, 0.0, 1e-2);
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&log, &streams, w] {
+      for (const auto& d : streams[w]) {
+        EXPECT_TRUE(log.append(d.user, d.item, d.value));
+      }
+    });
+  }
+  for (int i = 0; i < 50; ++i) {
+    auto snap = log.snapshot();
+    std::lock_guard<std::mutex> lock(handoff_mu);
+    handoff.push_back(std::move(snap));
+  }
+  for (auto& t : writers) t.join();
+  const auto last = log.snapshot();
+  done.store(true);
+  reader.join();
+
+  std::vector<orchestrate::RatingDelta> all;
+  for (const auto& s : streams) all.insert(all.end(), s.begin(), s.end());
+  const auto want = oracle.snapshot(all);
+  EXPECT_EQ(log.accepted(), static_cast<std::uint64_t>(kWriters * kPerWriter));
+  EXPECT_EQ(last.deltas_applied, log.accepted());
+  expect_same_csr(last.csr(), want.csr, "csr");
+  expect_same_csr(last.csr_t(), want.csr_t, "csr_t");
 }
 
 // ---------------------------------------------------------- QualityGate ----
@@ -291,6 +552,119 @@ TEST(QualityGate, AbsoluteFloorsApplyWithoutBaseline) {
   const auto report = gate.evaluate(w.base_x, w.base_theta);
   EXPECT_FALSE(report.passed);
   EXPECT_FALSE(report.reason.empty());
+}
+
+/// ranking_quality as it stood before its single-sweep top-k, kept as the
+/// oracle: a binary search per item over the sorted rated list, then a
+/// partial_sort of every candidate's (score, item).
+eval::RankingQuality ranking_quality_oracle(const sparse::CooMatrix& holdout,
+                                            const linalg::FactorMatrix& X,
+                                            const linalg::FactorMatrix& Theta,
+                                            int k,
+                                            const sparse::CsrMatrix* exclude,
+                                            int max_users) {
+  eval::RankingQuality q;
+  if (k < 1 || max_users < 1) return q;
+  std::vector<std::vector<idx_t>> relevant(
+      static_cast<std::size_t>(holdout.rows));
+  for (std::size_t i = 0; i < holdout.val.size(); ++i) {
+    relevant[static_cast<std::size_t>(holdout.row[i])].push_back(
+        holdout.col[i]);
+  }
+  const idx_t users = std::min<idx_t>(X.rows(), holdout.rows);
+  double recall_sum = 0.0;
+  double ndcg_sum = 0.0;
+  for (idx_t u = 0; u < users && q.users_evaluated < max_users; ++u) {
+    const auto& rel = relevant[static_cast<std::size_t>(u)];
+    if (rel.empty()) continue;
+    std::vector<idx_t> rated;
+    if (exclude != nullptr && u < exclude->rows) {
+      const auto cols = exclude->row_cols(u);
+      rated.assign(cols.begin(), cols.end());
+      std::sort(rated.begin(), rated.end());
+    }
+    std::vector<std::pair<double, idx_t>> scored;
+    for (idx_t v = 0; v < Theta.rows(); ++v) {
+      if (std::binary_search(rated.begin(), rated.end(), v)) continue;
+      scored.emplace_back(linalg::dot(X.row(u), Theta.row(v), X.f()), v);
+    }
+    const std::size_t kk =
+        std::min<std::size_t>(static_cast<std::size_t>(k), scored.size());
+    std::partial_sort(scored.begin(), scored.begin() + kk, scored.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first > b.first ||
+                               (a.first == b.first && a.second < b.second);
+                      });
+    std::vector<idx_t> top;
+    for (std::size_t i = 0; i < kk; ++i) top.push_back(scored[i].second);
+    recall_sum += eval::recall_at_k(top, rel);
+    ndcg_sum += eval::ndcg_at_k(top, rel);
+    ++q.users_evaluated;
+  }
+  if (q.users_evaluated > 0) {
+    q.mean_recall = recall_sum / q.users_evaluated;
+    q.mean_ndcg = ndcg_sum / q.users_evaluated;
+  }
+  return q;
+}
+
+void expect_same_quality(const sparse::CooMatrix& holdout,
+                         const linalg::FactorMatrix& X,
+                         const linalg::FactorMatrix& Theta,
+                         const sparse::CsrMatrix* exclude,
+                         const std::string& what) {
+  for (const int k : {1, 2, 5, 17, 1000}) {
+    for (const int max_users : {1, 50, 200}) {
+      const auto got =
+          eval::ranking_quality(holdout, X, Theta, k, exclude, max_users);
+      const auto want =
+          ranking_quality_oracle(holdout, X, Theta, k, exclude, max_users);
+      const std::string at = what + " k=" + std::to_string(k) +
+                             " users=" + std::to_string(max_users);
+      EXPECT_EQ(got.users_evaluated, want.users_evaluated) << at;
+      EXPECT_EQ(got.mean_recall, want.mean_recall) << at;  // exact
+      EXPECT_EQ(got.mean_ndcg, want.mean_ndcg) << at;
+    }
+  }
+}
+
+TEST(QualityGate, RankingQualityMatchesTheSortingOracle) {
+  const auto& w = world();
+  expect_same_quality(w.split.test, w.base_x, w.base_theta, &w.R, "base");
+  expect_same_quality(w.split.test, w.better_x, w.better_theta, &w.R,
+                      "better");
+  expect_same_quality(w.split.test, noised(w.base_x, 3),
+                      noised(w.base_theta, 4), nullptr, "noised");
+
+  // Tie-heavy: factor entries in {-1, 0, 1} at f = 2 give only a handful of
+  // distinct scores, so the item-id tie-break decides most of every list.
+  // The exclusion matrix carries duplicate pairs and the holdout ids that
+  // are rated as well.
+  util::Rng rng(77);
+  const idx_t m = 60;
+  const idx_t n = 90;
+  linalg::FactorMatrix x(m, 2);
+  linalg::FactorMatrix theta(n, 2);
+  for (auto* fm : {&x, &theta}) {
+    for (auto& v : fm->data()) {
+      v = static_cast<real_t>(static_cast<int>(rng.next_below(3)) - 1);
+    }
+  }
+  sparse::CooMatrix holdout;
+  holdout.rows = m;
+  holdout.cols = n;
+  sparse::CooMatrix rated;
+  rated.rows = m;
+  rated.cols = n;
+  for (int i = 0; i < 600; ++i) {
+    const auto u = static_cast<idx_t>(rng.next_below(m));
+    const auto v = static_cast<idx_t>(rng.next_below(n));
+    (rng.next_below(2) == 0 ? holdout : rated).push_back(u, v, 1.0f);
+    if (rng.next_below(10) == 0) rated.push_back(u, v, 1.0f);
+  }
+  const auto exclude = sparse::coo_to_csr(rated);
+  expect_same_quality(holdout, x, theta, &exclude, "ties");
+  expect_same_quality(holdout, x, theta, nullptr, "ties, no exclude");
 }
 
 // --------------------------------------------------------- Orchestrator ----
